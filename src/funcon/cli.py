@@ -2,8 +2,9 @@
 and plot-data emission.
 
 Config files are YAML with a fixed schema (see README); unknown keys are
-rejected with the offending key named.  Exit codes: 0 success, 1 config or
-usage error, 2 solver non-convergence (the report is still written).
+rejected with the offending key named.  Exit codes: 0 success, 1 config,
+usage or problem error (the error is named), 2 solver non-convergence or a
+non-finite result (the report is still written).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 
 import click
@@ -19,6 +21,7 @@ import numpy as np
 import yaml
 
 from funcon import exprfn, problems
+from funcon.constraint_core import SingularSupportError
 from funcon.desolve import (
     BasisSpec,
     ConstraintSpec,
@@ -27,10 +30,13 @@ from funcon.desolve import (
     ElmSpec,
     ExtraUnknown,
     IndependentVar,
+    NonAffineResidualError,
     ProblemBuild,
     SolveReport,
     solve,
 )
+from funcon.multivar import CyclicIntegralDependencyError
+from funcon.solvers import LSQ_METHODS
 
 __all__ = ["main", "ConfigError", "load_config", "problem_from_config",
            "canonical_config", "run_suite", "SUITES"]
@@ -55,12 +61,14 @@ def _require(mapping, path, required, optional=()):
 def _number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 
 def _expression(value, path):
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return _number(value, path)
     if isinstance(value, str):
         try:
             exprfn.parse(value)
@@ -140,6 +148,11 @@ def problem_from_config(doc) -> DeProblem:
     solver = doc.get("solver") or {}
     _require(solver, "solver", (), ("method", "mode", "nlls_tol",
                                     "nlls_max_iter", "force_nonlinear"))
+    if solver.get("method", "svd-pinv") not in LSQ_METHODS:
+        raise ConfigError(f"solver.method: unknown method "
+                          f"{solver['method']!r}; options: {LSQ_METHODS}")
+    if solver.get("mode", "embedded") not in ("embedded", "spectral"):
+        raise ConfigError("solver.mode: must be 'embedded' or 'spectral'")
     analytic = {k: _expression(v, f"analytic.{k}")
                 for k, v in (doc.get("analytic") or {}).items()}
     test_points = doc.get("test_points")
@@ -271,7 +284,8 @@ def _write_report(report, problem, out, fmt):
 # benchmark suites
 
 RESULT_COLUMNS = ("problem", "n", "m", "max_error", "mean_error",
-                  "max_residual", "iterations", "wall_seconds", "seed")
+                  "max_residual", "iterations", "reason", "converged",
+                  "wall_seconds", "seed")
 
 
 def _row(problem_id, n, m, rep, seed=None):
@@ -279,6 +293,7 @@ def _row(problem_id, n, m, rep, seed=None):
         "problem": problem_id, "n": n, "m": m,
         "max_error": rep.max_error, "mean_error": rep.mean_error,
         "max_residual": rep.max_residual, "iterations": rep.iterations,
+        "reason": rep.reason, "converged": rep.converged,
         "wall_seconds": rep.wall_seconds, "seed": seed,
     }
 
@@ -400,6 +415,11 @@ def _emit_result_table(rows, out):
 # ---------------------------------------------------------------------------
 # commands
 
+# errors a well-formed config can still raise while building or solving
+_PROBLEM_ERRORS = (SingularSupportError, exprfn.ExprEvalError,
+                   CyclicIntegralDependencyError, NonAffineResidualError)
+
+
 @click.group()
 def main():
     """Constraint-embedding DE solver."""
@@ -420,7 +440,11 @@ def cmd_solve(config_path, out_path, fmt):
         click.echo(f"config error: {err}", err=True)
         sys.exit(1)
     seed = (doc or {}).get("seed", 0)
-    report = solve(problem, seed=seed)
+    try:
+        report = solve(problem, seed=seed)
+    except _PROBLEM_ERRORS as err:
+        click.echo(f"problem error: {type(err).__name__}: {err}", err=True)
+        sys.exit(1)
     _write_report(report, problem, out_path, fmt)
     sys.exit(0 if report.converged else 2)
 
@@ -486,15 +510,11 @@ def plot_rows(problem: DeProblem, doc):
     for dep in problem.dependent:
         xi_full[bld.layout.slice_of(dep.name)] = doc["xi"][dep.name]
     for dep in problem.dependent:
-        preds[dep.name] = bld.evaluate_solution(dep.name, pts, xi_full, extras)
+        preds[dep.name], truth = bld.solution_and_truth(dep.name, pts,
+                                                        xi_full, extras)
         header.append(dep.name)
-        if dep.name in problem.analytic:
-            expr = exprfn.parse(str(problem.analytic[dep.name])) \
-                if isinstance(problem.analytic[dep.name], str) \
-                else problem.analytic[dep.name]
-            bindings = bld.base_bindings(pts, extras)
-            truths[dep.name] = np.broadcast_to(np.asarray(
-                exprfn.evaluate(expr, bindings), dtype=float), (pts.shape[0],))
+        if truth is not None:
+            truths[dep.name] = truth
             header.append(dep.name + "_true")
             header.append("abs_error_" + dep.name)
     out_rows.append(header)

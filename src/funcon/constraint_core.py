@@ -249,7 +249,7 @@ class Constraint:
     def point(value, location, order=0, coeff=1.0):
         """Convenience: coeff * y^(order)(location) = value."""
         return Constraint(ConstraintOperator([PointDeriv(order, location, coeff)]),
-                          _as_kappa(value))
+                          as_kappa(value))
 
 
 def as_kappa(value):
@@ -259,9 +259,6 @@ def as_kappa(value):
     if isinstance(value, Expr):
         return ExprKappa(value)
     return ConstKappa(float(value))
-
-
-_as_kappa = as_kappa
 
 
 # ---------------------------------------------------------------------------
@@ -494,18 +491,7 @@ class ExprField(Field):
 
     def eval(self, pts, orders, extras=None):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        e = self.expr
-        for name, d in zip(self.ctx.var_names, orders):
-            if d:
-                e = exprfn.differentiate(e, name, d)
-        bindings = dict(self.ctx.params)
-        for j, name in enumerate(self.ctx.var_names):
-            bindings[name] = pts[:, j]
-        if extras:
-            bindings.update(extras)
-        off = np.broadcast_to(np.asarray(exprfn.evaluate(e, bindings), dtype=float),
-                              (pts.shape[0],)).copy()
-        return AffineEval(np.zeros((pts.shape[0], self.width)), off, {})
+        return ExprKappa(self.expr).eval(self.ctx, pts, orders, extras)
 
 
 class CallableField(Field):

@@ -45,7 +45,7 @@ from funcon.constraint_core import (
     as_kappa,
 )
 from funcon.exprfn import Expr
-from funcon.solvers import NllsConfig, NllsResult, lstsq, nlls
+from funcon.solvers import NllsConfig, lstsq, nlls
 
 __all__ = [
     "NonAffineResidualError",
@@ -282,7 +282,9 @@ class ProblemBuild:
             | set(self.extras_spec) | dep_names
         tags = {}
         for r in self._residuals:
-            for name in exprfn.free_variables(r):
+            # sorted: the tag order is the summation order of every
+            # assembled row, so it must not follow the hash seed
+            for name in sorted(exprfn.free_variables(r)):
                 base, orders = exprfn.split_partial_tag(name)
                 if base in dep_names:
                     bad = set(orders) - set(self.var_names)
@@ -340,6 +342,17 @@ class ProblemBuild:
     def evaluate_solution(self, dep_name, pts, xi, extras):
         ev = self.fields[dep_name].eval(pts, (0,) * len(self.var_names), extras)
         return ev.value(xi)
+
+    def solution_and_truth(self, dep_name, pts, xi, extras):
+        """(prediction, analytic solution) of one dependent variable on
+        ``pts``; the truth is None when the problem declares none."""
+        pred = self.evaluate_solution(dep_name, pts, xi, extras)
+        expr = self.problem.analytic.get(dep_name)
+        if expr is None:
+            return pred, None
+        truth = exprfn.evaluate(_as_expr(expr), self.base_bindings(pts, extras))
+        return pred, np.broadcast_to(np.asarray(truth, dtype=float),
+                                     (pts.shape[0],))
 
 
 def _affine_kind(e, tags):
@@ -405,7 +418,7 @@ def assemble_linear(bld: ProblemBuild, pts=None):
         bvec = -np.broadcast_to(
             np.asarray(exprfn.evaluate(r, {**bindings, **zero_tags}),
                        dtype=float), (n,)).astype(float)
-        for tag in tags & exprfn.free_variables(r):
+        for tag in sorted(tags & exprfn.free_variables(r)):
             coeff = exprfn.differentiate(r, tag, 1)
             cvals = np.broadcast_to(
                 np.asarray(exprfn.evaluate(coeff, {**bindings, **zero_tags}),
@@ -592,6 +605,8 @@ class SolveReport:
     max_error: float = None
     mean_error: float = None
     iterations: int = 0
+    # linear | residual-inf-norm | step-inf-norm (converged);
+    # max-iterations | non-finite (not converged)
     reason: str = "linear"
     wall_seconds: float = 0.0
     seed: int = None
@@ -603,56 +618,61 @@ class SolveReport:
         return self.reason in ("linear", "residual-inf-norm", "step-inf-norm")
 
 
-def _test_errors(bld, xi, extras, analytic):
+def _test_errors(bld, xi, extras):
     pts = bld.test_grid()
-    if pts is None or not analytic:
+    if pts is None or not bld.problem.analytic:
         return None, None
     errs = []
-    bindings = bld.base_bindings(pts, extras)
-    for dep, expr in analytic.items():
-        truth = np.broadcast_to(
-            np.asarray(exprfn.evaluate(_as_expr(expr), bindings), dtype=float),
-            (pts.shape[0],))
-        pred = bld.evaluate_solution(dep, pts, xi, extras)
+    for dep in bld.problem.analytic:
+        pred, truth = bld.solution_and_truth(dep, pts, xi, extras)
         errs.append(np.abs(pred - truth))
     err = np.concatenate(errs)
     return float(err.max()), float(err.mean())
 
 
-def solve(problem: DeProblem, seed=None) -> SolveReport:
-    """Dispatch linear vs nonlinear assembly, solve, and report metrics."""
+def solve(problem: DeProblem, seed=None, x0=None) -> SolveReport:
+    """Dispatch linear vs nonlinear assembly, solve, and report metrics.
+
+    ``x0`` is the Gauss-Newton start [coefficients..., extras...]; it
+    defaults to zero coefficients and each extra's ``init``.  The one-shot
+    linear path needs no start and ignores it.  A non-finite solution or
+    residual is reported with reason "non-finite", never as converged.
+    """
     t0 = time.perf_counter()
     bld = ProblemBuild(problem)
     pts = bld.grid()
+    width = bld.layout.width
+    size = width + len(problem.extras)
+    if x0 is None:
+        x0 = np.concatenate([np.zeros(width), [e.init for e in problem.extras]])
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (size,):
+        raise ValueError(
+            f"x0 has shape {x0.shape}; expected {size} entries: {width} "
+            f"coefficients then {len(problem.extras)} extras")
     linear = bld.is_affine() and not problem.extras and not problem.force_nonlinear
     if linear:
         A, b = assemble_linear(bld, pts)
-        xi = lstsq(A, b, method=problem.method)
-        resid = A @ xi - b
+        q = lstsq(A, b, method=problem.method)
+        resid = A @ q - b
         iterations, reason = 0, "linear"
-        extras_used = {}
-        q = xi
     else:
         residual, jacobian = assemble_nonlinear(bld, pts)
-        x0 = np.zeros(bld.layout.width + len(problem.extras))
-        for i, e in enumerate(problem.extras):
-            x0[bld.layout.width + i] = e.init
         cfg = NllsConfig(tol=problem.nlls_tol, max_iter=problem.nlls_max_iter,
                          method=problem.method)
-        result: NllsResult = nlls(residual, jacobian, x0, cfg)
+        result = nlls(residual, jacobian, x0, cfg)
         q = result.xi
-        xi = q[:bld.layout.width]
-        raw = {e.name: q[bld.layout.width + i]
-               for i, e in enumerate(problem.extras)}
-        extras_used, _ = bld.clamp_extras(raw)
         resid = residual(q)
         iterations, reason = result.iterations, result.reason
-    max_err, mean_err = _test_errors(bld, xi, extras_used, problem.analytic)
-    xi_by_dep = {d.name: xi[bld.layout.slice_of(d.name)]
-                 for d in problem.dependent}
+    if not (np.isfinite(q).all() and np.isfinite(resid).all()):
+        reason = "non-finite"
+    xi = q[:width]
+    extras_used, _ = bld.clamp_extras(
+        {e.name: q[width + i] for i, e in enumerate(problem.extras)})
+    max_err, mean_err = _test_errors(bld, xi, extras_used)
     return SolveReport(
         problem=problem.name,
-        xi=xi_by_dep,
+        xi={d.name: xi[bld.layout.slice_of(d.name)] for d in problem.dependent},
         extras=extras_used,
         max_residual=float(np.abs(resid).max()),
         mean_residual=float(np.abs(resid).mean()),
@@ -662,7 +682,7 @@ def solve(problem: DeProblem, seed=None) -> SolveReport:
         reason=reason,
         wall_seconds=time.perf_counter() - t0,
         seed=seed,
-        columns=bld.layout.width,
+        columns=width,
         training_points=pts.shape[0],
     )
 

@@ -234,7 +234,11 @@ class _Parser:
     def atom(self):
         kind, text, pos = self.advance()
         if kind == "num":
-            return Num(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(
+                    f"numeric literal {text!r} overflows to inf", pos)
+            return Num(value)
         if kind == "ident":
             nkind, ntext, npos = self.peek()
             if nkind == "op" and ntext == "(":

@@ -14,7 +14,7 @@ nilpotent-adjacency acyclicity test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 
 import numpy as np
 
@@ -419,19 +419,3 @@ def check_intersection_validity(graph: ComponentGraph, regular: dict,
                     return False, diagnostics
     return True, diagnostics
 
-
-def all_orders_agree(ces, g_field, pts, tol=1e-12, extras=None):
-    """Oracle: every processing order yields the same values (valid only when
-    no integral constraints are present)."""
-    base = None
-    zero_orders = (0,) * len(g_field.ctx.var_names)
-    for perm in permutations(ces):
-        u = compose_recursive(perm, g_field).eval(pts, zero_orders, extras)
-        vals = u.offset if u.rows.shape[1] == 0 else None
-        if vals is None:
-            raise ValueError("order oracle expects probe fields")
-        if base is None:
-            base = vals
-        elif np.max(np.abs(vals - base)) > tol:
-            return False
-    return True

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
 
 import numpy as np
 
@@ -23,12 +22,9 @@ from funcon.desolve import (
     ElmSpec,
     ExtraUnknown,
     IndependentVar,
-    ProblemBuild,
-    SolveReport,
     SplitSpec,
-    assemble_nonlinear,
+    solve,
 )
-from funcon.solvers import NllsConfig, nlls
 
 __all__ = [
     "simple_pde",
@@ -335,7 +331,7 @@ def balloon(altitude=52, n=140, m=50, sigma_c=0.0):
             ExtraUnknown("beta", 1.0, 0.05, math.pi - 0.05),
             ExtraUnknown("ell", 12.0, 4.0, 60.0),
         ),
-        method="lstsq-cutoff",
+        method="svd-pinv",
     )
 
 
@@ -346,41 +342,20 @@ def solve_balloon(altitude=52, n=140, m=50, warm_start=None, beta0=1.0,
     shape with beta and ell frozen, then release them (or warm-start from a
     neighbouring altitude's solution).
 
-    Returns (report, state) where state warm-starts the next altitude.
+    Returns (report, state) where state warm-starts the next altitude; the
+    report's wall time covers both stages.
     """
     problem = balloon(altitude, n=n, m=m)
-    bld = ProblemBuild(problem)
-    width = bld.layout.width
+    stage_seconds = 0.0
     if warm_start is None:
         frozen = dataclasses.replace(
-            problem, extras=(),
+            problem, extras=(), method="lstsq-cutoff", nlls_max_iter=30,
             params={**problem.params, "beta": beta0, "ell": ell0})
-        bld0 = ProblemBuild(frozen)
-        res0, jac0 = assemble_nonlinear(bld0)
-        stage = nlls(res0, jac0, np.zeros(width),
-                     NllsConfig(tol=1e-13, max_iter=30, method="lstsq-cutoff"))
-        x0 = np.concatenate([stage.xi, [beta0, ell0]])
-    else:
-        x0 = np.asarray(warm_start, dtype=float).copy()
-    residual, jacobian = assemble_nonlinear(bld)
-    t0 = time.perf_counter()
-    result = nlls(residual, jacobian, x0,
-                  NllsConfig(tol=problem.nlls_tol,
-                             max_iter=problem.nlls_max_iter,
-                             method="svd-pinv"))
-    resid = residual(result.xi)
-    xi = result.xi[:width]
-    extras = {"beta": float(result.xi[width]), "ell": float(result.xi[width + 1])}
-    report = SolveReport(
-        problem=problem.name,
-        xi={d.name: xi[bld.layout.slice_of(d.name)] for d in problem.dependent},
-        extras=extras,
-        max_residual=float(np.abs(resid).max()),
-        mean_residual=float(np.abs(resid).mean()),
-        iterations=result.iterations,
-        reason=result.reason,
-        wall_seconds=time.perf_counter() - t0,
-        columns=width,
-        training_points=problem.independent[0].points,
-    )
-    return report, result.xi
+        stage = solve(frozen)
+        stage_seconds = stage.wall_seconds
+        warm_start = np.concatenate([*stage.xi.values(), [beta0, ell0]])
+    report = solve(problem, x0=warm_start)
+    report.wall_seconds += stage_seconds
+    state = np.concatenate([*report.xi.values(),
+                            [report.extras[e.name] for e in problem.extras]])
+    return report, state

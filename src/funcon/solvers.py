@@ -2,8 +2,9 @@
 
 The iterative loop is plain Gauss-Newton: solve J dxi = -L each step, no
 damping or line search; divergence control (e.g. clamped unknowns) is the
-caller's job.  Stopping conditions, in order: residual infinity norm below
-tol, step infinity norm below tol, iteration count past max_iter.
+caller's job.  Stopping conditions, in order: a non-finite residual,
+residual infinity norm below tol, step infinity norm below tol, iteration
+count past max_iter.
 """
 
 from __future__ import annotations
@@ -44,11 +45,17 @@ def lstsq(A: np.ndarray, b: np.ndarray, method: str = "scaled-qr") -> np.ndarray
     and unscales the solution; lstsq-cutoff is the SVD route for
     ill-conditioned systems (singular values below max(s)*1e-14*max(shape)
     are dropped, min-norm solution), the right choice for ELM features.
+    A system with a non-finite entry has an all-NaN solution on every route.
     """
+    if method not in LSQ_METHODS:
+        raise ValueError(f"unknown least-squares method {method!r}; "
+                         f"options: {LSQ_METHODS}")
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if method in ("qr", "cholesky", "scaled-qr") and A.shape[0] < A.shape[1]:
         raise ValueError(f"{method} path needs rows >= cols, got {A.shape}")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        return np.full(A.shape[1], np.nan)
     if method == "normal":
         return np.linalg.solve(A.T @ A, A.T @ b)
     if method == "qr":
@@ -70,8 +77,6 @@ def lstsq(A: np.ndarray, b: np.ndarray, method: str = "scaled-qr") -> np.ndarray
         cutoff = s.max(initial=0.0) * 1e-14 * max(A.shape)
         inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
         return vt.T @ (inv * (u.T @ b))
-    raise ValueError(f"unknown least-squares method {method!r}; "
-                     f"options: {LSQ_METHODS}")
 
 
 @dataclass
@@ -80,7 +85,6 @@ class NllsConfig:
     max_iter: int = 50
     method: str = "svd-pinv"
     update_hook: object = None  # xi -> xi, applied after each step
-    stop_hook: object = None    # (iteration, L, dxi) -> bool, extra stop test
     debug_check_jacobian: bool = False
 
     def __post_init__(self):
@@ -94,7 +98,8 @@ class NllsConfig:
 class NllsResult:
     xi: np.ndarray
     iterations: int
-    reason: str  # residual-inf-norm | step-inf-norm | max-iterations | hook
+    # residual-inf-norm | step-inf-norm | max-iterations | non-finite
+    reason: str
     residual_history: list = field(default_factory=list)
 
     @property
@@ -134,6 +139,8 @@ def nlls(residual, jacobian, xi0, config: NllsConfig = None) -> NllsResult:
         L = np.atleast_1d(np.asarray(residual(xi), dtype=float))
         history.append(float(np.abs(L).max()))
         # stopping conditions, checked in order each pass
+        if not np.isfinite(L).all():
+            return NllsResult(xi, it, "non-finite", history)
         if history[-1] < config.tol:
             return NllsResult(xi, it, "residual-inf-norm", history)
         if dxi is not None and np.abs(dxi).max() < config.tol:
@@ -150,5 +157,3 @@ def nlls(residual, jacobian, xi0, config: NllsConfig = None) -> NllsResult:
         if config.update_hook is not None:
             xi = np.asarray(config.update_hook(xi), dtype=float)
         it += 1
-        if config.stop_hook is not None and config.stop_hook(it, L, dxi):
-            return NllsResult(xi, it, "hook", history)

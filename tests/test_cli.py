@@ -83,6 +83,65 @@ def test_nonconvergent_nonlinear_exits_2(tmp_path, runner):
     assert rep["metrics"]["reason"] == "max-iterations"
 
 
+def _assert_named_exit_1(result, *fragments):
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # no uncaught error
+    assert "Traceback" not in result.output
+    assert len(result.output.strip().splitlines()) == 1
+    for fragment in fragments:
+        assert fragment in result.output
+
+
+@pytest.mark.parametrize("edit,fragments", [
+    (lambda doc: doc.update(params={"k": float("inf")}),
+     ("params.k", "finite")),
+    (lambda doc: doc["dependent"][0]["constraints"][0].update(value=1e400),
+     ("dependent[0].constraints[0].value", "finite")),
+    (lambda doc: doc["residuals"].__setitem__(0, "u_xx + 1e400*u_yy"),
+     ("residuals[0]", "overflows")),
+])
+def test_non_finite_numbers_rejected_by_key(tmp_path, runner, edit, fragments):
+    doc = yaml.safe_load(SIMPLE_CONFIG)
+    edit(doc)
+    cfg = _write(tmp_path, yaml.safe_dump(doc))
+    _assert_named_exit_1(runner.invoke(cli.main, ["solve", "--config", cfg]),
+                         "config error", *fragments)
+
+
+def test_non_finite_result_exits_2_with_report(tmp_path, runner):
+    doc = yaml.safe_load(SIMPLE_CONFIG)
+    doc["residuals"] = ["u_xx + u_yy - exp(800)"]  # forcing overflows to inf
+    cfg = _write(tmp_path, yaml.safe_dump(doc))
+    out = tmp_path / "r.json"
+    result = runner.invoke(cli.main, ["solve", "--config", cfg,
+                                      "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert json.loads(out.read_text())["metrics"]["reason"] == "non-finite"
+
+
+def _duplicate_constraint(doc):
+    cons = doc["dependent"][0]["constraints"]
+    cons.append(dict(cons[0]))
+
+
+@pytest.mark.parametrize("edit,fragments", [
+    (_duplicate_constraint, ("problem error", "SingularSupportError")),
+    (lambda doc: doc["residuals"].__setitem__(0, "u_xx + u_yy - ln(x)"),
+     ("problem error", "ExprEvalError", "ln of non-positive value")),
+    (lambda doc: doc.update(solver={"method": "svd"}),
+     ("config error", "solver.method", "'svd'")),
+    (lambda doc: doc.update(solver={"mode": "weak"}),
+     ("config error", "solver.mode")),
+])
+def test_problem_errors_named_without_traceback(tmp_path, runner, edit,
+                                                fragments):
+    doc = yaml.safe_load(SIMPLE_CONFIG)
+    edit(doc)
+    cfg = _write(tmp_path, yaml.safe_dump(doc))
+    _assert_named_exit_1(runner.invoke(cli.main, ["solve", "--config", cfg]),
+                         *fragments)
+
+
 def test_config_round_trip():
     problem = cli.problem_from_config(yaml.safe_load(SIMPLE_CONFIG))
     doc = cli.canonical_config(problem, seed=0)

@@ -1,8 +1,13 @@
 import dataclasses
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import funcon
 from funcon import desolve as D
 from funcon import exprfn as E
 from funcon import problems as P
@@ -207,6 +212,72 @@ def test_solve_report_fields():
     assert rep.converged
     assert rep.max_error is not None and rep.mean_error <= rep.max_error
     assert rep.wall_seconds > 0
+
+
+_HASH_PROBE = """
+from funcon import desolve, problems
+rep = desolve.solve(problems.biharmonic_polar(12, 12))
+print(rep.xi["u"].tobytes().hex(), repr(rep.max_residual))
+"""
+
+
+def test_results_independent_of_hash_seed():
+    # partial tags are summed in a fixed order, so string hashing (which
+    # orders sets) cannot move the last bits of a solution
+    src = os.path.dirname(os.path.dirname(funcon.__file__))
+    outputs = set()
+    for hash_seed in ("0", "1", "4", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _HASH_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("residual", ["y_x + y - 1", "y*y_x + y - 1"])
+def test_non_finite_result_is_not_converged(residual):
+    rep = D.solve(first_order_ode(residual, m=4, value=math.inf))
+    assert rep.reason == "non-finite"
+    assert not rep.converged
+
+
+def test_warm_start_from_solution_stops_at_once():
+    prob = D.DeProblem(
+        name="riccati",
+        independent=(D.IndependentVar("x", (0.0, 1.0), 40),),
+        dependent=(D.DependentVar("y", (
+            D.ConstraintSpec("x", ({"order": 0, "at": 0.0},), 0.5),
+        ), D.BasisSpec("legendre", 30)),),
+        residuals=("y_x - y^2",),
+        analytic={"y": "1/(2 - x)"},
+        test_points=(50,),
+        method="scaled-qr",
+    )
+    cold = D.solve(prob)
+    assert cold.converged and cold.iterations > 1
+    warm = D.solve(prob, x0=cold.xi["y"])
+    assert warm.converged and warm.iterations <= 1
+    np.testing.assert_allclose(warm.xi["y"], cold.xi["y"], rtol=0, atol=1e-13)
+
+
+def test_warm_start_of_wrong_length_names_the_expected_one():
+    prob = first_order_ode("y*y_x - 1", m=4)
+    with pytest.raises(ValueError, match="expected 4 entries"):
+        D.solve(prob, x0=np.zeros(3))
+
+
+def test_balloon_wall_time_covers_every_stage(monkeypatch):
+    stages = []
+
+    def recording(problem, seed=None, x0=None):
+        rep = D.solve(problem, seed=seed, x0=x0)
+        stages.append(rep.wall_seconds)
+        return rep
+
+    monkeypatch.setattr(P, "solve", recording)
+    rep, _ = P.solve_balloon(52)
+    assert len(stages) == 2  # frozen shape, then beta and ell released
+    assert rep.wall_seconds >= sum(stages)
 
 
 def test_embedded_constraints_hold_regardless_of_convergence():

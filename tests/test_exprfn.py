@@ -27,6 +27,12 @@ def test_parse_error_offset_and_expected():
     assert err.value.expected  # non-empty expected-token set
 
 
+def test_overflowing_literal_rejected():
+    with pytest.raises(E.ExprSyntaxError, match="overflows") as err:
+        E.parse("y_x + 1e400*y")
+    assert err.value.offset == 6
+
+
 def test_unknown_function_rejected():
     with pytest.raises(E.ExprSyntaxError, match="unknown function"):
         E.parse("foo(x)")

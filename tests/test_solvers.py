@@ -76,8 +76,25 @@ def test_unknown_method():
         S.lstsq(np.eye(2), np.ones(2), "magic")
 
 
+@pytest.mark.parametrize("method", S.LSQ_METHODS)
+def test_non_finite_system_gives_nan_solution(method):
+    A = np.eye(3)
+    A[1, 2] = np.inf
+    assert np.isnan(S.lstsq(A, np.ones(3), method)).all()
+    assert np.isnan(S.lstsq(np.eye(3), np.array([1.0, np.nan, 0.0]),
+                            method)).all()
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Newton
+
+def test_non_finite_residual_stops_iteration():
+    res = lambda x: np.array([np.inf * x[0] - 1.0])
+    jac = lambda x: np.array([[1.0]])
+    out = S.nlls(res, jac, np.array([1.0]))
+    assert (out.reason, out.iterations, out.converged) == \
+        ("non-finite", 0, False)
+
 
 def test_scalar_root():
     # L(xi) = xi^2 - 4 from xi0 = 1 -> 2, quadratic convergence
