@@ -372,10 +372,6 @@ class TensorFeature:
     def count(self):
         return len(self.indices)
 
-    @property
-    def nvars(self):
-        return len(self.families)
-
     def eval(self, pts: np.ndarray, orders) -> np.ndarray:
         """Mixed-partial feature matrix, shape (npoints, count)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -399,10 +395,6 @@ class ElmFeature:
     @property
     def count(self):
         return self.family.neurons
-
-    @property
-    def nvars(self):
-        return self.family.in_dim
 
     def eval(self, pts: np.ndarray, orders) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))

@@ -21,7 +21,6 @@ import numpy as np
 import yaml
 
 from funcon import exprfn, problems
-from funcon.constraint_core import SingularSupportError
 from funcon.desolve import (
     BasisSpec,
     ConstraintSpec,
@@ -30,13 +29,11 @@ from funcon.desolve import (
     ElmSpec,
     ExtraUnknown,
     IndependentVar,
-    NonAffineResidualError,
     ProblemBuild,
     SolveReport,
     solve,
 )
-from funcon.multivar import CyclicIntegralDependencyError
-from funcon.solvers import LSQ_METHODS
+from funcon.solvers import LSQ_METHODS, RankDeficientError
 
 __all__ = ["main", "ConfigError", "load_config", "problem_from_config",
            "canonical_config", "run_suite", "SUITES"]
@@ -147,7 +144,7 @@ def problem_from_config(doc) -> DeProblem:
 
     solver = doc.get("solver") or {}
     _require(solver, "solver", (), ("method", "mode", "nlls_tol",
-                                    "nlls_max_iter", "force_nonlinear"))
+                                    "nlls_max_iter"))
     if solver.get("method", "svd-pinv") not in LSQ_METHODS:
         raise ConfigError(f"solver.method: unknown method "
                           f"{solver['method']!r}; options: {LSQ_METHODS}")
@@ -174,7 +171,6 @@ def problem_from_config(doc) -> DeProblem:
         nlls_max_iter=int(solver.get("nlls_max_iter", 50)),
         analytic=analytic,
         test_points=test_points,
-        force_nonlinear=bool(solver.get("force_nonlinear", False)),
     )
 
 
@@ -415,11 +411,6 @@ def _emit_result_table(rows, out):
 # ---------------------------------------------------------------------------
 # commands
 
-# errors a well-formed config can still raise while building or solving
-_PROBLEM_ERRORS = (SingularSupportError, exprfn.ExprEvalError,
-                   CyclicIntegralDependencyError, NonAffineResidualError)
-
-
 @click.group()
 def main():
     """Constraint-embedding DE solver."""
@@ -442,7 +433,9 @@ def cmd_solve(config_path, out_path, fmt):
     seed = (doc or {}).get("seed", 0)
     try:
         report = solve(problem, seed=seed)
-    except _PROBLEM_ERRORS as err:
+    except (ValueError, RankDeficientError) as err:
+        # the library's checks all raise ValueError subclasses; the
+        # factorization routes' rank checks raise RankDeficientError
         click.echo(f"problem error: {type(err).__name__}: {err}", err=True)
         sys.exit(1)
     _write_report(report, problem, out_path, fmt)

@@ -456,10 +456,6 @@ class Field:
         self.ctx = ctx
 
     @property
-    def nvars(self):
-        return len(self.ctx.var_names)
-
-    @property
     def width(self):
         return self.ctx.width
 

@@ -9,7 +9,8 @@ test grid (endpoints included), and returns a ``SolveReport``.
 
 Constraints hold at machine precision by construction whenever the mode is
 "embedded"; "spectral" mode skips the constrained expression and instead
-appends one constraint row per boundary training point.
+appends one constraint row per boundary training point, on the linear and
+the Gauss-Newton path alike.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from funcon.constraint_core import (
     MonomialSupports,
     PointDeriv,
     UnknownLayout,
+    _ae_add,
+    _ae_scale,
     _apply_op_to_field,
     as_kappa,
 )
@@ -157,7 +160,6 @@ class DeProblem:
     nlls_max_iter: int = 50
     analytic: dict = dc_field(default_factory=dict)  # dep name -> expression
     test_points: tuple = None  # per-dim counts, uniform; None disables errors
-    force_nonlinear: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +218,11 @@ class ProblemBuild:
                                 dict(problem.params))
 
         self.fields = {}
-        self.ces = {}
         for dep in problem.dependent:
             g = FeatureField(self.ctx, features[dep.name],
                              self.layout.slice_of(dep.name))
             if problem.mode == "spectral" or not constraints[dep.name]:
                 self.fields[dep.name] = g
-                self.ces[dep.name] = (None, {})
                 continue
             supports = {self.dim_index[d]: MonomialSupports(p)
                         for d, p in dep.supports.items()}
@@ -230,7 +230,6 @@ class ProblemBuild:
                                                       supports)
             ordered = [ces[k] for k in order.order if k in ces]
             self.fields[dep.name] = multivar.compose_recursive(ordered, g)
-            self.ces[dep.name] = (order, ces)
         self.features = features
         self.constraints = constraints
 
@@ -331,6 +330,29 @@ class ProblemBuild:
             out[tag] = self.fields[base].eval(pts, orders, extras)
         return out
 
+    def constraint_evals(self, extras):
+        """Spectral mode's constraint rows: C[u] - kappa for each constraint,
+        sampled at every training node combination of the other dimensions.
+        Empty in embedded mode, where the constrained expression satisfies
+        the constraints by construction."""
+        if self.problem.mode != "spectral":
+            return []
+        axes = [v.nodes() for v in self.problem.independent]
+        zero = (0,) * len(axes)
+        out = []
+        for dep in self.problem.dependent:
+            g = self.fields[dep.name]
+            for k, cons in self.constraints[dep.name].items():
+                other_axes = [a if j != k else np.array([0.0])
+                              for j, a in enumerate(axes)]
+                mesh = np.meshgrid(*other_axes, indexing="ij")
+                pts = np.column_stack([m.ravel() for m in mesh])
+                for con in cons:
+                    lhs = _apply_op_to_field(con.operator, g, pts, zero, k, extras)
+                    kap = con.kappa.eval(self.ctx, pts, zero, extras)
+                    out.append(_ae_add(lhs, _ae_scale(kap, -1.0)))
+        return out
+
     def base_bindings(self, pts, extras):
         b = dict(self.problem.params)
         for j, name in enumerate(self.var_names):
@@ -396,80 +418,40 @@ def _affine_kind(e, tags):
 # assembly
 
 def assemble_linear(bld: ProblemBuild, pts=None):
-    """(A, b) for affine residuals; one row per residual per grid point.
+    """(A, b) for affine residuals: the first Gauss-Newton system at zero
+    coefficients, A = J(0) and b = -L(0) from ``assemble_nonlinear``.  One
+    row per residual per grid point, then spectral mode's constraint rows.
     Columns are ordered dependent variable by dependent variable, retained
     basis index within."""
-    problem = bld.problem
-    if problem.extras:
+    if bld.problem.extras:
         raise NonAffineResidualError("extras require the nonlinear path")
     tags = set(bld._tags)
     for r in bld._residuals:
         if _affine_kind(r, tags) == "nonlinear":
             raise NonAffineResidualError(
                 f"residual {exprfn.to_source(r)!r} is not affine in the unknowns")
-    pts = bld.grid() if pts is None else pts
-    evals = bld.partial_evals(pts, {})
-    bindings = bld.base_bindings(pts, {})
-    zero_tags = {t: 0.0 for t in tags}
-    blocks_A, blocks_b = [], []
-    n = pts.shape[0]
-    for r in bld._residuals:
-        A = np.zeros((n, bld.layout.width))
-        bvec = -np.broadcast_to(
-            np.asarray(exprfn.evaluate(r, {**bindings, **zero_tags}),
-                       dtype=float), (n,)).astype(float)
-        for tag in sorted(tags & exprfn.free_variables(r)):
-            coeff = exprfn.differentiate(r, tag, 1)
-            cvals = np.broadcast_to(
-                np.asarray(exprfn.evaluate(coeff, {**bindings, **zero_tags}),
-                           dtype=float), (n,))
-            A += cvals[:, None] * evals[tag].rows
-            bvec = bvec - cvals * evals[tag].offset
-        blocks_A.append(A)
-        blocks_b.append(bvec)
-    A = np.vstack(blocks_A)
-    b = np.concatenate(blocks_b)
-    if problem.mode == "spectral":
-        A2, b2 = _spectral_rows(bld, {})
-        A = np.vstack([A, A2])
-        b = np.concatenate([b, b2])
-    return A, b
-
-
-def _spectral_rows(bld: ProblemBuild, extras):
-    """Constraint rows for spectral mode: each constraint sampled at every
-    training node combination of the other dimensions."""
-    rows, rhs = [], []
-    axes = [v.nodes() for v in bld.problem.independent]
-    nvars = len(axes)
-    for dep in bld.problem.dependent:
-        g = bld.fields[dep.name]
-        for k, cons in bld.constraints[dep.name].items():
-            other_axes = [axes[j] if j != k else np.array([0.0])
-                          for j in range(nvars)]
-            mesh = np.meshgrid(*other_axes, indexing="ij")
-            pts = np.column_stack([m.ravel() for m in mesh])
-            zero = (0,) * nvars
-            for con in cons:
-                lhs = _apply_op_to_field(con.operator, g, pts, zero, k, extras)
-                kap = con.kappa.eval(bld.ctx, pts, zero, extras)
-                rows.append(lhs.rows - kap.rows)
-                rhs.append(kap.offset - lhs.offset)
-    return np.vstack(rows), np.concatenate(rhs)
+    residual, jacobian = assemble_nonlinear(bld, pts)
+    q0 = np.zeros(bld.layout.width)
+    return jacobian(q0), -residual(q0)
 
 
 def assemble_nonlinear(bld: ProblemBuild, pts=None):
     """Residual and exact-Jacobian closures over the stacked unknown vector
     [xi..., extras...]; extras enter through kappas and residual symbols with
-    symbolic partials, clamped extras through the Heaviside-zero gate."""
+    symbolic partials, clamped extras through the Heaviside-zero gate.  The
+    rows are the residuals on the grid, then spectral mode's constraint rows
+    C[u] - kappa."""
     problem = bld.problem
     pts = bld.grid() if pts is None else pts
     width = bld.layout.width
     extra_names = [e.name for e in problem.extras]
     bindings0 = bld.base_bindings(pts, {})
     n = pts.shape[0]
-    has_extras = bool(extra_names)
-    cached = None if has_extras else bld.partial_evals(pts, {})
+
+    def evaluations(extras):
+        return bld.partial_evals(pts, extras), bld.constraint_evals(extras)
+
+    cached = None if extra_names else evaluations({})
 
     dcache = {}
 
@@ -487,22 +469,23 @@ def assemble_nonlinear(bld: ProblemBuild, pts=None):
 
     def state(q):
         xi, extras, gates = unpack(q)
-        evals = cached if cached is not None else bld.partial_evals(pts, extras)
+        evals, cons = cached if cached is not None else evaluations(extras)
         bindings = dict(bindings0)
         bindings.update(extras)
         for tag, ev in evals.items():
             bindings[tag] = ev.value(xi)
-        return xi, extras, gates, evals, bindings
+        return xi, gates, evals, cons, bindings
 
     def residual(q):
-        _, _, _, _, bindings = state(q)
+        xi, _, _, cons, bindings = state(q)
         out = [np.broadcast_to(np.asarray(exprfn.evaluate(r, bindings),
                                           dtype=float), (n,))
                for r in bld._residuals]
+        out += [c.value(xi) for c in cons]
         return np.concatenate(out)
 
     def jacobian(q):
-        xi, extras, gates, evals, bindings = state(q)
+        _, gates, evals, cons, bindings = state(q)
         blocks = []
         for r in bld._residuals:
             J = np.zeros((n, width + len(extra_names)))
@@ -525,6 +508,13 @@ def assemble_nonlinear(bld: ProblemBuild, pts=None):
                     if g is not None:
                         col += c * g
                 J[:, width + i] = col * gates[nm]
+            blocks.append(J)
+        for c in cons:
+            J = np.zeros((c.rows.shape[0], width + len(extra_names)))
+            J[:, :width] = c.rows
+            for i, nm in enumerate(extra_names):
+                if nm in c.grads:
+                    J[:, width + i] = c.grads[nm] * gates[nm]
             blocks.append(J)
         return np.vstack(blocks)
 
@@ -650,8 +640,7 @@ def solve(problem: DeProblem, seed=None, x0=None) -> SolveReport:
         raise ValueError(
             f"x0 has shape {x0.shape}; expected {size} entries: {width} "
             f"coefficients then {len(problem.extras)} extras")
-    linear = bld.is_affine() and not problem.extras and not problem.force_nonlinear
-    if linear:
+    if bld.is_affine() and not problem.extras:
         A, b = assemble_linear(bld, pts)
         q = lstsq(A, b, method=problem.method)
         resid = A @ q - b
@@ -774,9 +763,6 @@ def solve_split(problem: DeProblem, split: SplitSpec, seed=None) -> SolveReport:
             ExtraUnknown("yp", split.yp_init),
             ExtraUnknown("dyp", split.dyp_init),
         ),
-        # clamped extras can gate whole Jacobian columns to zero, so the
-        # iteration needs a rank-tolerant least-squares route
-        method="lstsq-cutoff",
         nlls_tol=problem.nlls_tol,
         nlls_max_iter=problem.nlls_max_iter,
     )

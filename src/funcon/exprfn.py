@@ -404,7 +404,10 @@ def _eval_pow(a, b):
     if not integral:
         _check(np.asarray(a) < 0, "non-integer power of negative base")
     _check((np.asarray(a) == 0) & (b_arr < 0), "zero raised to negative power")
-    return a ** b
+    try:
+        return a ** b
+    except OverflowError as err:
+        raise ExprEvalError("power overflows the float range") from err
 
 
 def _eval_call(fn, x):

@@ -55,7 +55,7 @@ def _relative(dim, a, b, order=0):
 # ---------------------------------------------------------------------------
 # Poisson-type 2-D problem with a known smooth solution
 
-def simple_pde(n=15, m=15, mode="embedded", method="svd-pinv"):
+def simple_pde(n=15, m=15, mode="embedded"):
     """u_xx + u_yy = exp(-x)(x - 2 + y^3 + 6y) on the unit square with
     Dirichlet data from u = exp(-x)(x + y^3)."""
     return DeProblem(
@@ -71,7 +71,6 @@ def simple_pde(n=15, m=15, mode="embedded", method="svd-pinv"):
         residuals=("u_xx + u_yy - exp(-x)*(x - 2 + y^3 + 6*y)",),
         analytic={"u": "exp(-x)*(x + y^3)"},
         test_points=(100, 100),
-        method=method,
         mode=mode,
     )
 
@@ -86,7 +85,6 @@ def simple_pde_xtfc(n=15, neurons=132, seed=0):
         residuals=base.residuals,
         analytic=base.analytic,
         test_points=base.test_points,
-        method="lstsq-cutoff",
     )
 
 
@@ -146,7 +144,6 @@ def wave2d_xtfc(n=11, neurons=650, seed=0):
         residuals=("u_xx + u_yy - 64*u_tt",),
         analytic={"u": "sin(pi*x)*sin(pi*y)*cos(pi*sqrt(2)/8*t)"},
         test_points=(15, 15, 15),
-        method="lstsq-cutoff",
     )
 
 
@@ -331,7 +328,6 @@ def balloon(altitude=52, n=140, m=50, sigma_c=0.0):
             ExtraUnknown("beta", 1.0, 0.05, math.pi - 0.05),
             ExtraUnknown("ell", 12.0, 4.0, 60.0),
         ),
-        method="svd-pinv",
     )
 
 
@@ -349,7 +345,7 @@ def solve_balloon(altitude=52, n=140, m=50, warm_start=None, beta0=1.0,
     stage_seconds = 0.0
     if warm_start is None:
         frozen = dataclasses.replace(
-            problem, extras=(), method="lstsq-cutoff", nlls_max_iter=30,
+            problem, extras=(), nlls_max_iter=30,
             params={**problem.params, "beta": beta0, "ell": ell0})
         stage = solve(frozen)
         stage_seconds = stage.wall_seconds

@@ -23,7 +23,7 @@ __all__ = [
     "nlls",
 ]
 
-LSQ_METHODS = ("normal", "qr", "scaled-qr", "svd-pinv", "cholesky", "lstsq-cutoff")
+LSQ_METHODS = ("normal", "qr", "scaled-qr", "svd-pinv", "cholesky")
 
 
 class RankDeficientError(np.linalg.LinAlgError):
@@ -42,9 +42,9 @@ def lstsq(A: np.ndarray, b: np.ndarray, method: str = "scaled-qr") -> np.ndarray
     """Minimize ||A xi - b||_2.
 
     scaled-qr rescales columns by their inverse 2-norms before factorization
-    and unscales the solution; lstsq-cutoff is the SVD route for
-    ill-conditioned systems (singular values below max(s)*1e-14*max(shape)
-    are dropped, min-norm solution), the right choice for ELM features.
+    and unscales the solution; svd-pinv is the SVD route for rank-deficient
+    and ill-conditioned systems (singular values at or below
+    max(s)*1e-14*max(shape) are dropped, min-norm solution).
     A system with a non-finite entry has an all-NaN solution on every route.
     """
     if method not in LSQ_METHODS:
@@ -65,18 +65,16 @@ def lstsq(A: np.ndarray, b: np.ndarray, method: str = "scaled-qr") -> np.ndarray
         norms[norms == 0] = 1.0
         return _qr_solve(A / norms, b) / norms
     if method == "svd-pinv":
-        return np.linalg.pinv(A) @ b
+        u, s, vt = np.linalg.svd(A, full_matrices=False)
+        cutoff = s.max(initial=0.0) * 1e-14 * max(A.shape)
+        inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
+        return vt.T @ (inv * (u.T @ b))
     if method == "cholesky":
         try:
             c = cho_factor(A.T @ A)
         except np.linalg.LinAlgError as err:
             raise RankDeficientError(str(err)) from err
         return cho_solve(c, A.T @ b)
-    if method == "lstsq-cutoff":
-        u, s, vt = np.linalg.svd(A, full_matrices=False)
-        cutoff = s.max(initial=0.0) * 1e-14 * max(A.shape)
-        inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-        return vt.T @ (inv * (u.T @ b))
 
 
 @dataclass
@@ -148,11 +146,7 @@ def nlls(residual, jacobian, xi0, config: NllsConfig = None) -> NllsResult:
         if it >= config.max_iter:
             return NllsResult(xi, it, "max-iterations", history)
         J = np.atleast_2d(np.asarray(jacobian(xi), dtype=float))
-        try:
-            dxi = lstsq(J, -L, method=config.method)
-        except (np.linalg.LinAlgError, ValueError) as err:
-            raise RuntimeError(
-                f"least-squares failed at iteration {it}: {err}") from err
+        dxi = lstsq(J, -L, method=config.method)
         xi = xi + dxi
         if config.update_hook is not None:
             xi = np.asarray(config.update_hook(xi), dtype=float)

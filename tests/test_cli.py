@@ -72,7 +72,7 @@ def test_nonconvergent_nonlinear_exits_2(tmp_path, runner):
     doc = yaml.safe_load(SIMPLE_CONFIG)
     doc["residuals"] = ["u_xx + u_yy + u^2 + 10"]  # no solution nearby
     del doc["analytic"]
-    doc["solver"] = {"nlls_max_iter": 3, "method": "lstsq-cutoff"}
+    doc["solver"] = {"nlls_max_iter": 3, "method": "svd-pinv"}
     cfg = _write(tmp_path, yaml.safe_dump(doc))
     out = tmp_path / "r.json"
     result = runner.invoke(cli.main, ["solve", "--config", cfg,
@@ -87,7 +87,8 @@ def _assert_named_exit_1(result, *fragments):
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)  # no uncaught error
     assert "Traceback" not in result.output
-    assert len(result.output.strip().splitlines()) == 1
+    assert result.stdout == ""
+    assert len(result.stderr.strip().splitlines()) == 1
     for fragment in fragments:
         assert fragment in result.output
 
@@ -119,6 +120,18 @@ def test_non_finite_result_exits_2_with_report(tmp_path, runner):
     assert json.loads(out.read_text())["metrics"]["reason"] == "non-finite"
 
 
+def _residual(text):
+    return lambda doc: doc["residuals"].__setitem__(0, text)
+
+
+def _basis(**entries):
+    return lambda doc: doc["dependent"][0]["basis"].update(entries)
+
+
+def _first_constraint(**entries):
+    return lambda doc: doc["dependent"][0]["constraints"][0].update(entries)
+
+
 def _duplicate_constraint(doc):
     cons = doc["dependent"][0]["constraints"]
     cons.append(dict(cons[0]))
@@ -132,6 +145,27 @@ def _duplicate_constraint(doc):
      ("config error", "solver.method", "'svd'")),
     (lambda doc: doc.update(solver={"mode": "weak"}),
      ("config error", "solver.mode")),
+    (_residual("u_xx + u_yy - w"), ("problem error", "unknown symbol 'w'")),
+    (_residual("u_zz"), ("problem error", "unknown dimensions ['z']")),
+    (_first_constraint(value="x + 1"), ("problem error", "must not depend")),
+    (_residual("u_xx + u_yy - 10^400"),
+     ("problem error", "ExprEvalError", "overflows")),
+    (lambda doc: doc["independent"][0].update(points=1),
+     ("problem error", "at least 2 nodes")),
+    (lambda doc: doc["independent"][0].update(interval=[1.0, 0.0]),
+     ("problem error", "x0 < xf")),
+    (_basis(degree=-1), ("problem error", "degree")),
+    (_basis(family="foo"), ("problem error", "'foo'")),
+    (lambda doc: doc["dependent"][0]["constraints"][0]["terms"][0].update(
+        order=-1), ("problem error", "order")),
+    (lambda doc: doc.update(solver={"nlls_tol": 0},
+                            residuals=["u_xx + u_yy + u^2"]),
+     ("problem error", "tol")),
+    (_basis(family="elm", activation="foo"), ("problem error", "'foo'")),
+    (lambda doc: doc.update(solver={"method": "qr"}),
+     ("problem error", "RankDeficientError")),
+    (lambda doc: doc.update(solver={"method": "cholesky"}),
+     ("problem error", "RankDeficientError")),
 ])
 def test_problem_errors_named_without_traceback(tmp_path, runner, edit,
                                                 fragments):
@@ -213,7 +247,7 @@ def test_elm_basis_via_config(tmp_path, runner):
     doc = yaml.safe_load(SIMPLE_CONFIG)
     doc["dependent"][0]["basis"] = {"family": "elm", "activation": "tanh",
                                     "neurons": 62, "seed": 0}
-    doc["solver"] = {"method": "lstsq-cutoff"}
+    doc["solver"] = {"method": "svd-pinv"}
     cfg = _write(tmp_path, yaml.safe_dump(doc))
     out = tmp_path / "r.json"
     result = runner.invoke(cli.main, ["solve", "--config", cfg,

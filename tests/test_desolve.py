@@ -12,6 +12,7 @@ from funcon import desolve as D
 from funcon import exprfn as E
 from funcon import problems as P
 from funcon.constraint_core import BoundEvaluable
+from funcon.solvers import NllsConfig, nlls
 
 
 def first_order_ode(residual="y_x - 1", m=1, value=2.0):
@@ -64,12 +65,43 @@ def test_affinity_classification(src, affine):
 
 def test_linear_problem_through_nonlinear_path_one_iteration():
     prob = dataclasses.replace(first_order_ode("y_x - 3*y", m=12, value=1.0),
-                               force_nonlinear=True, method="svd-pinv")
+                               method="svd-pinv")
+    bld = D.ProblemBuild(prob)
+    res, jac = D.assemble_nonlinear(bld)
+    result = nlls(res, jac, np.zeros(bld.layout.width),
+                  NllsConfig(tol=prob.nlls_tol, method=prob.method))
+    assert result.iterations == 1
+    assert result.reason == "residual-inf-norm"
+    lin = D.solve(prob)
+    np.testing.assert_allclose(result.xi, lin.xi["y"], atol=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["embedded", "spectral"])
+def test_assemble_linear_is_the_first_gauss_newton_system(mode):
+    # affine residual: A = J(q) for any q and b = -L(0), from the same closures
+    bld = D.ProblemBuild(P.simple_pde(8, 6, mode=mode))
+    A, b = D.assemble_linear(bld)
+    res, jac = D.assemble_nonlinear(bld)
+    q = np.random.default_rng(2).standard_normal(bld.layout.width)
+    np.testing.assert_array_equal(A, jac(q))
+    np.testing.assert_array_equal(b, -res(np.zeros(bld.layout.width)))
+    np.testing.assert_allclose(A @ q - b, res(q), rtol=1e-12, atol=1e-12)
+
+
+def test_spectral_constraint_rows_reach_gauss_newton():
+    # the x=0 boundary value c*y^3 carries an extra, so the solve takes the
+    # Gauss-Newton path; only the spectral constraint rows pin c to 1
+    base = P.simple_pde(10, 10, mode="spectral")
+    (dep,) = base.dependent
+    cons = (D.ConstraintSpec("x", ({"order": 0, "at": 0.0},), "c*y^3"),) \
+        + dep.constraints[1:]
+    prob = dataclasses.replace(
+        base, dependent=(dataclasses.replace(dep, constraints=cons),),
+        extras=(D.ExtraUnknown("c", 0.5),))
     rep = D.solve(prob)
-    assert rep.iterations == 1
-    assert rep.reason == "residual-inf-norm"
-    lin = D.solve(dataclasses.replace(prob, force_nonlinear=False))
-    np.testing.assert_allclose(rep.xi["y"], lin.xi["y"], atol=1e-9)
+    assert rep.converged
+    assert rep.extras["c"] == pytest.approx(1.0, abs=1e-8)
+    assert rep.max_error <= 1e-9
 
 
 def test_nonlinear_jacobian_matches_finite_differences():
@@ -366,7 +398,7 @@ def test_elm_activations_solve_a_decay_ode(activation):
         residuals=("y_x + y",),
         analytic={"y": "exp(-x)"},
         test_points=(200,),
-        method="lstsq-cutoff",
+        method="svd-pinv",
     )
     rep = D.solve(prob)
     assert rep.max_error < 1e-6

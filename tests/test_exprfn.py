@@ -61,6 +61,7 @@ def test_unbound_variable_error():
     ("sqrt(x)", {"x": -4.0}),
     ("x^0.5", {"x": -4.0}),
     ("x^(-1)", {"x": 0.0}),
+    ("10^400", {}),  # overflows the float range
 ])
 def test_domain_errors_raise(src, binds):
     with pytest.raises(E.ExprEvalError):
