@@ -63,6 +63,13 @@ def _number(value, path):
     return float(value)
 
 
+def _integer(value, path, minimum):
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(
+            f"{path}: expected an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _expression(value, path):
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return _number(value, path)
@@ -102,7 +109,8 @@ def problem_from_config(doc) -> DeProblem:
         spacing = item.get("spacing", "cgl")
         if spacing not in ("cgl", "uniform"):
             raise ConfigError(f"{p}.spacing: must be 'cgl' or 'uniform'")
-        indep.append(IndependentVar(name, (lo, hi), int(item["points"]), spacing))
+        indep.append(IndependentVar(
+            name, (lo, hi), _integer(item["points"], f"{p}.points", 2), spacing))
         names.append(name)
 
     deps = []
@@ -150,11 +158,15 @@ def problem_from_config(doc) -> DeProblem:
                           f"{solver['method']!r}; options: {LSQ_METHODS}")
     if solver.get("mode", "embedded") not in ("embedded", "spectral"):
         raise ConfigError("solver.mode: must be 'embedded' or 'spectral'")
+    nlls_tol = _number(solver.get("nlls_tol", 1e-13), "solver.nlls_tol")
+    if not nlls_tol > 0:
+        raise ConfigError(f"solver.nlls_tol: expected a number > 0, "
+                          f"got {nlls_tol!r}")
     analytic = {k: _expression(v, f"analytic.{k}")
                 for k, v in (doc.get("analytic") or {}).items()}
     test_points = doc.get("test_points")
     if test_points is not None:
-        test_points = tuple(int(c) for c in test_points)
+        test_points = tuple(_integer(c, "test_points", 1) for c in test_points)
         if len(test_points) != len(indep):
             raise ConfigError("test_points: one count per independent variable")
 
@@ -167,8 +179,9 @@ def problem_from_config(doc) -> DeProblem:
         extras=tuple(extras),
         method=solver.get("method", "svd-pinv"),
         mode=solver.get("mode", "embedded"),
-        nlls_tol=float(solver.get("nlls_tol", 1e-13)),
-        nlls_max_iter=int(solver.get("nlls_max_iter", 50)),
+        nlls_tol=nlls_tol,
+        nlls_max_iter=_integer(solver.get("nlls_max_iter", 50),
+                               "solver.nlls_max_iter", 1),
         analytic=analytic,
         test_points=test_points,
     )
@@ -181,12 +194,13 @@ def _basis_from_config(item, path):
     family = item["family"]
     if family == "elm":
         return ElmSpec(item.get("activation", "tanh"),
-                       int(item.get("neurons", 100)),
-                       int(item.get("seed", 0)),
+                       _integer(item.get("neurons", 100), f"{path}.neurons", 1),
+                       _integer(item.get("seed", 0), f"{path}.seed", 0),
                        tuple(item.get("init_range", (-1.0, 1.0))))
     removal = {k: (int(v) if isinstance(v, int) else tuple(v))
                for k, v in (item.get("removal") or {}).items()}
-    return BasisSpec(family, int(item.get("degree", 10)), removal)
+    return BasisSpec(family, _integer(item.get("degree", 10), f"{path}.degree", 0),
+                     removal)
 
 
 def canonical_config(problem: DeProblem, seed=None) -> dict:

@@ -10,9 +10,12 @@ expression is
 
 Everything here evaluates in an *affine-in-xi* representation: an evaluation
 of a field at N points returns rows (N, width), an offset (N,), and the
-offset's gradients with respect to named scalar extras, so that least-squares
-assembly, nested composition, and component references all reduce to the same
-bookkeeping.  Built expressions are immutable and evaluation is reentrant.
+offset's gradients with respect to named scalar extras.  The expression is
+one linear map for any free function g: around a ``FeatureField`` h(x)^T xi
+its rows serve least-squares assembly; around a zero-width ``CallableField``
+the offset holds plain values (the kappa terms for g = 0, the solution for a
+solved h(x)^T xi).  Built expressions are immutable and evaluation is
+reentrant.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ __all__ = [
     "ExprField",
     "CallableField",
     "CEField",
-    "BoundEvaluable",
     "gauss_legendre",
     "ExprFunction1D",
 ]
@@ -115,17 +117,6 @@ class ConstraintOperator:
 
     def __init__(self, specs):
         object.__setattr__(self, "specs", tuple(specs))
-
-    def max_order(self):
-        return max((s.order for s in self.specs if isinstance(s, PointDeriv)),
-                   default=0)
-
-    def foreign_dims(self):
-        dims = set()
-        for s in self.specs:
-            if isinstance(s, PointDeriv):
-                dims.update(j for j, _, _ in s.foreign)
-        return dims
 
 
 def apply_operator(op: ConstraintOperator, f) -> float:
@@ -397,8 +388,6 @@ class AffineEval:
     grads: dict
 
     def value(self, xi):
-        if self.rows.shape[1] == 0:
-            return self.offset.copy()
         return self.rows @ xi + self.offset
 
 
@@ -491,10 +480,11 @@ class ExprField(Field):
 
 
 class CallableField(Field):
-    """Probe field from fn(pts, orders) -> values."""
+    """Probe field from fn(pts, orders) -> values; ``params`` bind the
+    kappas of constrained expressions composed around it."""
 
-    def __init__(self, fn, var_names, width=0):
-        super().__init__(FieldContext(tuple(var_names), width, {}))
+    def __init__(self, fn, var_names, params=None):
+        super().__init__(FieldContext(tuple(var_names), 0, dict(params or {})))
         self.fn = fn
 
     def eval(self, pts, orders, extras=None):
@@ -577,18 +567,6 @@ class CEField(Field):
             rho = _ae_add(kap, _ae_scale(cg, -1.0))
             out = _ae_add(out, _ae_scale(rho, phi[:, j]))
         return out
-
-
-class BoundEvaluable:
-    """A field with its coefficients substituted: concrete u(x) evaluations."""
-
-    def __init__(self, field_obj: Field, xi, extras=None):
-        self.field = field_obj
-        self.xi = np.asarray(xi, dtype=float)
-        self.extras = dict(extras or {})
-
-    def eval(self, pts, orders):
-        return self.field.eval(pts, orders, self.extras).value(self.xi)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,17 @@ Constraints hold at machine precision by construction whenever the mode is
 "embedded"; "spectral" mode skips the constrained expression and instead
 appends one constraint row per boundary training point, on the linear and
 the Gauss-Newton path alike.
+
+Each dependent variable's processed univariate CEs (``ProblemBuild.ces``)
+compose around the free function a caller holds: h(x)^T xi for the
+coefficient rows, evaluated once per grid; zero for the kappa offsets,
+once per Gauss-Newton iterate; the solved h(x)^T xi for solution values.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
-from itertools import product
 
 import numpy as np
 
@@ -33,6 +37,7 @@ from funcon.basis import (
     uniform_nodes,
 )
 from funcon.constraint_core import (
+    CallableField,
     Constraint,
     ConstraintOperator,
     DefiniteIntegral,
@@ -200,7 +205,6 @@ class ProblemBuild:
         self.dim_index = {n: i for i, n in enumerate(self.var_names)}
         self.extras_spec = {e.name: e for e in problem.extras}
 
-        sizes = []
         features = {}
         constraints = {}
         for dep in problem.dependent:
@@ -211,27 +215,26 @@ class ProblemBuild:
                     _constraint_from_spec(cs, self.dim_index))
             constraints[dep.name] = cons_by_dim
             features[dep.name] = self._feature_for(dep, cons_by_dim)
-            sizes.append(features[dep.name].count)
-        self.layout = UnknownLayout(tuple(d.name for d in problem.dependent),
-                                    tuple(sizes))
+        self.layout = UnknownLayout(tuple(features),
+                                    tuple(f.count for f in features.values()))
         self.ctx = FieldContext(self.var_names, self.layout.width,
                                 dict(problem.params))
 
-        self.fields = {}
+        self.features, self.constraints = features, constraints
+        zero = CallableField(lambda pts, orders: np.zeros(len(pts)),
+                             self.var_names, problem.params)
+        self.ces, self.fields, self.offsets = {}, {}, {}
         for dep in problem.dependent:
-            g = FeatureField(self.ctx, features[dep.name],
-                             self.layout.slice_of(dep.name))
-            if problem.mode == "spectral" or not constraints[dep.name]:
-                self.fields[dep.name] = g
-                continue
             supports = {self.dim_index[d]: MonomialSupports(p)
                         for d, p in dep.supports.items()}
-            order, ces = multivar.build_dimension_ces(constraints[dep.name],
-                                                      supports)
-            ordered = [ces[k] for k in order.order if k in ces]
-            self.fields[dep.name] = multivar.compose_recursive(ordered, g)
-        self.features = features
-        self.constraints = constraints
+            order, ces = multivar.build_dimension_ces(
+                {} if problem.mode == "spectral" else constraints[dep.name],
+                supports)
+            # processed univariate CEs in processing order; none in spectral
+            self.ces[dep.name] = tuple(ces[k] for k in order.order if k in ces)
+            self.fields[dep.name] = self.compose(dep.name, FeatureField(
+                self.ctx, features[dep.name], self.layout.slice_of(dep.name)))
+            self.offsets[dep.name] = self.compose(dep.name, zero)
 
         self._residuals = tuple(_as_expr(r) for r in problem.residuals)
         self._tags = self._collect_tags()
@@ -303,19 +306,19 @@ class ProblemBuild:
 
     # -- evaluation helpers ----------------------------------------------------
 
+    def compose(self, dep_name, g):
+        """One dependent variable's constrained expression around ``g``."""
+        return multivar.compose_recursive(self.ces[dep_name], g)
+
     def grid(self):
-        axes = [v.nodes() for v in self.problem.independent]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
+        return _mesh([v.nodes() for v in self.problem.independent])
 
     def test_grid(self):
         counts = self.problem.test_points
         if counts is None:
             return None
-        axes = [np.linspace(v.interval[0], v.interval[1], c)
-                for v, c in zip(self.problem.independent, counts)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
+        return _mesh([np.linspace(v.interval[0], v.interval[1], c)
+                      for v, c in zip(self.problem.independent, counts)])
 
     def clamp_extras(self, raw: dict):
         used, gates = {}, {}
@@ -325,31 +328,31 @@ class ProblemBuild:
         return used, gates
 
     def partial_evals(self, pts, extras):
-        out = {}
-        for tag, (base, orders) in self._tags.items():
-            out[tag] = self.fields[base].eval(pts, orders, extras)
-        return out
+        """Coefficient rows, offset and extras gradients per partial tag."""
+        return self._tag_evals(self.fields, pts, extras)
 
-    def constraint_evals(self, extras):
-        """Spectral mode's constraint rows: C[u] - kappa for each constraint,
-        sampled at every training node combination of the other dimensions.
-        Empty in embedded mode, where the constrained expression satisfies
-        the constraints by construction."""
+    def _tag_evals(self, fields, pts, extras):
+        return {tag: fields[base].eval(pts, orders, extras)
+                for tag, (base, orders) in self._tags.items()}
+
+    def constraint_evals(self, fields, extras):
+        """Spectral mode's constraint rows: C[u] - kappa for each constraint
+        of u = ``fields[dep]``, sampled at every training node combination of
+        the other dimensions.  Empty in embedded mode, where the constrained
+        expression satisfies the constraints by construction."""
         if self.problem.mode != "spectral":
             return []
         axes = [v.nodes() for v in self.problem.independent]
         zero = (0,) * len(axes)
         out = []
         for dep in self.problem.dependent:
-            g = self.fields[dep.name]
+            u = fields[dep.name]
             for k, cons in self.constraints[dep.name].items():
-                other_axes = [a if j != k else np.array([0.0])
-                              for j, a in enumerate(axes)]
-                mesh = np.meshgrid(*other_axes, indexing="ij")
-                pts = np.column_stack([m.ravel() for m in mesh])
+                pts = _mesh([a if j != k else np.array([0.0])
+                             for j, a in enumerate(axes)])
                 for con in cons:
-                    lhs = _apply_op_to_field(con.operator, g, pts, zero, k, extras)
-                    kap = con.kappa.eval(self.ctx, pts, zero, extras)
+                    lhs = _apply_op_to_field(con.operator, u, pts, zero, k, extras)
+                    kap = con.kappa.eval(u.ctx, pts, zero, extras)
                     out.append(_ae_add(lhs, _ae_scale(kap, -1.0)))
         return out
 
@@ -362,8 +365,14 @@ class ProblemBuild:
         return b
 
     def evaluate_solution(self, dep_name, pts, xi, extras):
-        ev = self.fields[dep_name].eval(pts, (0,) * len(self.var_names), extras)
-        return ev.value(xi)
+        """Values (n,) of one dependent variable at coefficients ``xi``: its
+        CE around the solved free function h(x)^T xi, with no rows."""
+        feature = self.features[dep_name]
+        coef = xi[self.layout.slice_of(dep_name)]
+        solved = CallableField(lambda p, orders: feature.eval(p, orders) @ coef,
+                               self.var_names, self.problem.params)
+        zero = (0,) * len(self.var_names)
+        return self.compose(dep_name, solved).eval(pts, zero, extras).offset
 
     def solution_and_truth(self, dep_name, pts, xi, extras):
         """(prediction, analytic solution) of one dependent variable on
@@ -375,6 +384,12 @@ class ProblemBuild:
         truth = exprfn.evaluate(_as_expr(expr), self.base_bindings(pts, extras))
         return pred, np.broadcast_to(np.asarray(truth, dtype=float),
                                      (pts.shape[0],))
+
+
+def _mesh(axes):
+    """Every combination of the axes' nodes, first axis slowest: (n, dims)."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
 
 
 def _affine_kind(e, tags):
@@ -440,18 +455,19 @@ def assemble_nonlinear(bld: ProblemBuild, pts=None):
     [xi..., extras...]; extras enter through kappas and residual symbols with
     symbolic partials, clamped extras through the Heaviside-zero gate.  The
     rows are the residuals on the grid, then spectral mode's constraint rows
-    C[u] - kappa."""
+    C[u] - kappa.  Extras enter the constrained expressions only through
+    kappa offsets, so rows are evaluated once and offsets per iterate."""
     problem = bld.problem
     pts = bld.grid() if pts is None else pts
     width = bld.layout.width
     extra_names = [e.name for e in problem.extras]
     bindings0 = bld.base_bindings(pts, {})
     n = pts.shape[0]
-
-    def evaluations(extras):
-        return bld.partial_evals(pts, extras), bld.constraint_evals(extras)
-
-    cached = None if extra_names else evaluations({})
+    # rows are the same for any extras; the initial ones bind the kappas
+    init, _ = bld.clamp_extras({e.name: e.init for e in problem.extras})
+    rows = {tag: ev.rows for tag, ev in bld.partial_evals(pts, init).items()}
+    con_rows = [c.rows for c in bld.constraint_evals(bld.fields, init)]
+    last = {}  # raw extras -> offsets; residual and jacobian at one q share it
 
     dcache = {}
 
@@ -461,31 +477,32 @@ def assemble_nonlinear(bld: ProblemBuild, pts=None):
             dcache[key] = exprfn.differentiate(r, name, 1)
         return dcache[key]
 
-    def unpack(q):
-        xi = q[:width]
-        raw = {nm: q[width + i] for i, nm in enumerate(extra_names)}
-        used, gates = bld.clamp_extras(raw)
-        return xi, used, gates
-
     def state(q):
-        xi, extras, gates = unpack(q)
-        evals, cons = cached if cached is not None else evaluations(extras)
+        xi = q[:width]
+        extras, gates = bld.clamp_extras(
+            {nm: q[width + i] for i, nm in enumerate(extra_names)})
+        key = q[width:].tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = (bld._tag_evals(bld.offsets, pts, extras),
+                         bld.constraint_evals(bld.offsets, extras))
+        offs, cons = last[key]
         bindings = dict(bindings0)
         bindings.update(extras)
-        for tag, ev in evals.items():
-            bindings[tag] = ev.value(xi)
-        return xi, gates, evals, cons, bindings
+        for tag, ev in offs.items():
+            bindings[tag] = rows[tag] @ xi + ev.offset
+        return xi, gates, offs, cons, bindings
 
     def residual(q):
         xi, _, _, cons, bindings = state(q)
         out = [np.broadcast_to(np.asarray(exprfn.evaluate(r, bindings),
                                           dtype=float), (n,))
                for r in bld._residuals]
-        out += [c.value(xi) for c in cons]
+        out += [cr @ xi + c.offset for cr, c in zip(con_rows, cons)]
         return np.concatenate(out)
 
     def jacobian(q):
-        _, gates, evals, cons, bindings = state(q)
+        _, gates, offs, cons, bindings = state(q)
         blocks = []
         for r in bld._residuals:
             J = np.zeros((n, width + len(extra_names)))
@@ -497,21 +514,21 @@ def assemble_nonlinear(bld: ProblemBuild, pts=None):
                 c = np.broadcast_to(np.asarray(
                     exprfn.evaluate(dexpr(r, tag), bindings), dtype=float), (n,))
                 dfdt[tag] = c
-                J[:, :width] += c[:, None] * evals[tag].rows
+                J[:, :width] += c[:, None] * rows[tag]
             for i, nm in enumerate(extra_names):
                 col = np.zeros(n)
                 if nm in present:
                     col += np.broadcast_to(np.asarray(
                         exprfn.evaluate(dexpr(r, nm), bindings), dtype=float), (n,))
                 for tag, c in dfdt.items():
-                    g = evals[tag].grads.get(nm)
+                    g = offs[tag].grads.get(nm)
                     if g is not None:
                         col += c * g
                 J[:, width + i] = col * gates[nm]
             blocks.append(J)
-        for c in cons:
-            J = np.zeros((c.rows.shape[0], width + len(extra_names)))
-            J[:, :width] = c.rows
+        for cr, c in zip(con_rows, cons):
+            J = np.zeros((cr.shape[0], width + len(extra_names)))
+            J[:, :width] = cr
             for i, nm in enumerate(extra_names):
                 if nm in c.grads:
                     J[:, width + i] = c.grads[nm] * gates[nm]
@@ -629,7 +646,12 @@ def solve(problem: DeProblem, seed=None, x0=None) -> SolveReport:
     residual is reported with reason "non-finite", never as converged.
     """
     t0 = time.perf_counter()
-    bld = ProblemBuild(problem)
+    return _solve(ProblemBuild(problem), seed, x0, t0)
+
+
+def _solve(bld, seed, x0, t0):
+    """``solve`` on a built problem; wall time counts from ``t0``."""
+    problem = bld.problem
     pts = bld.grid()
     width = bld.layout.width
     size = width + len(problem.extras)
@@ -696,8 +718,39 @@ def solve_split(problem: DeProblem, split: SplitSpec, seed=None) -> SolveReport:
     residuals over that variable.  Both sub-expressions are written on the
     basis domain z in [-1, 1]; the split point enters as a clamped extra and
     the C^1 continuity unknowns (value and slope at the split) are solved
-    jointly by Gauss-Newton.
+    jointly by Gauss-Newton.  Errors are measured in x on each subdomain.
     """
+    t0 = time.perf_counter()
+    bld = ProblemBuild(_split_problem(problem, split))
+    report = _solve(bld, seed, None, t0)
+
+    if problem.analytic and problem.test_points:
+        (iv,) = problem.independent
+        (dep,) = problem.dependent
+        x0, xf = iv.interval
+        xp = report.extras["xp"]
+        xi_full = np.concatenate(list(report.xi.values()))
+        (count,) = problem.test_points
+        errs = []
+        truth_expr = _as_expr(problem.analytic[dep.name])
+        for nm, lo, hi in ((dep.name + "1", x0, xp), (dep.name + "2", xp, xf)):
+            xs = np.linspace(lo, hi, count)
+            z = -1.0 + 2.0 * (xs - lo) / (hi - lo)
+            pred = bld.evaluate_solution(nm, z[:, None], xi_full, report.extras)
+            truth = exprfn.evaluate(truth_expr,
+                                    {**problem.params, iv.name: xs})
+            errs.append(np.abs(pred - np.asarray(truth)))
+        err = np.concatenate(errs)
+        report.max_error = float(err.max())
+        report.mean_error = float(err.mean())
+    report.problem = problem.name
+    report.wall_seconds = time.perf_counter() - t0
+    return report
+
+
+def _split_problem(problem: DeProblem, split: SplitSpec) -> DeProblem:
+    """The two-subdomain problem that ``solve_split`` solves: dependent
+    variables <name>1 and <name>2 over z, extras xp, yp and dyp."""
     (iv,) = problem.independent
     (dep,) = problem.dependent
     x0, xf = iv.interval
@@ -739,7 +792,7 @@ def solve_split(problem: DeProblem, split: SplitSpec, seed=None) -> SolveReport:
         residuals.append(transform(r, name1, c1))
         residuals.append(transform(r, name2, c2))
 
-    sub_problem = DeProblem(
+    return DeProblem(
         name=problem.name + "-split",
         independent=(IndependentVar("z", (-1.0, 1.0), iv.points, iv.spacing),),
         dependent=(
@@ -766,27 +819,3 @@ def solve_split(problem: DeProblem, split: SplitSpec, seed=None) -> SolveReport:
         nlls_tol=problem.nlls_tol,
         nlls_max_iter=problem.nlls_max_iter,
     )
-
-    t0 = time.perf_counter()
-    report = solve(sub_problem, seed=seed)
-    xp = report.extras["xp"]
-
-    if problem.analytic and problem.test_points:
-        bld = ProblemBuild(sub_problem)
-        xi_full = np.concatenate([report.xi[name1], report.xi[name2]])
-        (count,) = problem.test_points
-        errs = []
-        truth_expr = _as_expr(problem.analytic[dep.name])
-        for nm, lo, hi in ((name1, x0, xp), (name2, xp, xf)):
-            xs = np.linspace(lo, hi, count)
-            z = -1.0 + 2.0 * (xs - lo) / (hi - lo)
-            pred = bld.evaluate_solution(nm, z[:, None], xi_full, report.extras)
-            truth = exprfn.evaluate(truth_expr,
-                                    {**problem.params, iv.name: xs})
-            errs.append(np.abs(pred - np.asarray(truth)))
-        err = np.concatenate(errs)
-        report.max_error = float(err.max())
-        report.mean_error = float(err.mean())
-    report.problem = problem.name
-    report.wall_seconds = time.perf_counter() - t0
-    return report

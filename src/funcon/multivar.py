@@ -21,10 +21,8 @@ import numpy as np
 from funcon.constraint_core import (
     AffineEval,
     CEField,
-    Constraint,
     ConstraintOperator,
     Field,
-    MonomialSupports,
     PointDeriv,
     _ae_add,
     _ae_scale,

@@ -83,7 +83,6 @@ class NllsConfig:
     max_iter: int = 50
     method: str = "svd-pinv"
     update_hook: object = None  # xi -> xi, applied after each step
-    debug_check_jacobian: bool = False
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -105,31 +104,10 @@ class NllsResult:
         return self.reason in ("residual-inf-norm", "step-inf-norm")
 
 
-def _fd_jacobian(residual, xi, h=1e-7):
-    base = np.asarray(residual(xi), dtype=float)
-    J = np.zeros((base.size, xi.size))
-    for j in range(xi.size):
-        step = h * max(1.0, abs(xi[j]))
-        xp = xi.copy()
-        xp[j] += step
-        xm = xi.copy()
-        xm[j] -= step
-        J[:, j] = (np.asarray(residual(xp)) - np.asarray(residual(xm))) / (2 * step)
-    return J
-
-
 def nlls(residual, jacobian, xi0, config: NllsConfig = None) -> NllsResult:
     """Gauss-Newton iteration xi <- xi + dxi with J dxi = -L by least squares."""
     config = config or NllsConfig()
     xi = np.atleast_1d(np.asarray(xi0, dtype=float)).copy()
-    if config.debug_check_jacobian:
-        J0 = np.asarray(jacobian(xi), dtype=float)
-        Jfd = _fd_jacobian(residual, xi)
-        scale = max(1.0, np.abs(Jfd).max())
-        if np.abs(J0 - Jfd).max() / scale > 1e-4:
-            raise ValueError("jacobian inconsistent with residual "
-                             f"(max relative deviation "
-                             f"{np.abs(J0 - Jfd).max() / scale:.3e})")
     history = []
     it = 0
     dxi = None

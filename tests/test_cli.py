@@ -151,21 +151,38 @@ def _duplicate_constraint(doc):
     (_residual("u_xx + u_yy - 10^400"),
      ("problem error", "ExprEvalError", "overflows")),
     (lambda doc: doc["independent"][0].update(points=1),
-     ("problem error", "at least 2 nodes")),
+     ("config error", "independent[0].points", ">= 2")),
     (lambda doc: doc["independent"][0].update(interval=[1.0, 0.0]),
      ("problem error", "x0 < xf")),
-    (_basis(degree=-1), ("problem error", "degree")),
+    (_basis(degree=-1), ("config error", "dependent[0].basis.degree")),
     (_basis(family="foo"), ("problem error", "'foo'")),
     (lambda doc: doc["dependent"][0]["constraints"][0]["terms"][0].update(
         order=-1), ("problem error", "order")),
     (lambda doc: doc.update(solver={"nlls_tol": 0},
                             residuals=["u_xx + u_yy + u^2"]),
-     ("problem error", "tol")),
+     ("config error", "solver.nlls_tol")),
     (_basis(family="elm", activation="foo"), ("problem error", "'foo'")),
     (lambda doc: doc.update(solver={"method": "qr"}),
      ("problem error", "RankDeficientError")),
     (lambda doc: doc.update(solver={"method": "cholesky"}),
      ("problem error", "RankDeficientError")),
+    # the solver's numbers are checked on the linear path too
+    (lambda doc: doc.update(solver={"nlls_tol": 0}),
+     ("config error", "solver.nlls_tol", "> 0")),
+    (lambda doc: doc.update(solver={"nlls_tol": "abc"}),
+     ("config error", "solver.nlls_tol", "'abc'")),
+    (lambda doc: doc.update(solver={"nlls_max_iter": 0}),
+     ("config error", "solver.nlls_max_iter", ">= 1")),
+    (lambda doc: doc.update(solver={"nlls_max_iter": 2.7}),
+     ("config error", "solver.nlls_max_iter", "2.7")),
+    (lambda doc: doc["independent"][0].update(points="abc"),
+     ("config error", "independent[0].points", "'abc'")),
+    (_basis(degree="x"), ("config error", "dependent[0].basis.degree", "'x'")),
+    (_basis(family="elm", neurons=0),
+     ("config error", "dependent[0].basis.neurons")),
+    (_basis(family="elm", seed=-1), ("config error", "dependent[0].basis.seed")),
+    (lambda doc: doc.update(test_points=[25, 2.5]),
+     ("config error", "test_points", "2.5")),
 ])
 def test_problem_errors_named_without_traceback(tmp_path, runner, edit,
                                                 fragments):

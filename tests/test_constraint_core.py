@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from funcon import constraint_core as C
-from funcon import exprfn as E
 
 
 def op_point(*terms):

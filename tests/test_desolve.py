@@ -3,15 +3,17 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import funcon
 from funcon import desolve as D
 from funcon import exprfn as E
 from funcon import problems as P
-from funcon.constraint_core import BoundEvaluable
 from funcon.solvers import NllsConfig, nlls
 
 
@@ -88,20 +90,146 @@ def test_assemble_linear_is_the_first_gauss_newton_system(mode):
     np.testing.assert_allclose(A @ q - b, res(q), rtol=1e-12, atol=1e-12)
 
 
-def test_spectral_constraint_rows_reach_gauss_newton():
-    # the x=0 boundary value c*y^3 carries an extra, so the solve takes the
-    # Gauss-Newton path; only the spectral constraint rows pin c to 1
-    base = P.simple_pde(10, 10, mode="spectral")
+def _spectral_with_extra(n, extra):
+    """Spectral simple-pde whose x=0 boundary value is c*y^3."""
+    base = P.simple_pde(n, n, mode="spectral")
     (dep,) = base.dependent
     cons = (D.ConstraintSpec("x", ({"order": 0, "at": 0.0},), "c*y^3"),) \
         + dep.constraints[1:]
-    prob = dataclasses.replace(
+    return dataclasses.replace(
         base, dependent=(dataclasses.replace(dep, constraints=cons),),
-        extras=(D.ExtraUnknown("c", 0.5),))
+        extras=(extra,))
+
+
+def test_spectral_constraint_rows_reach_gauss_newton():
+    # the x=0 boundary value c*y^3 carries an extra, so the solve takes the
+    # Gauss-Newton path; only the spectral constraint rows pin c to 1
+    prob = _spectral_with_extra(10, D.ExtraUnknown("c", 0.5))
     rep = D.solve(prob)
     assert rep.converged
     assert rep.extras["c"] == pytest.approx(1.0, abs=1e-8)
     assert rep.max_error <= 1e-9
+
+
+# small problems for each kind of free function, kappa and mode
+_BUILDS = {
+    "chebyshev-custom-supports": lambda: P.biharmonic_polar(8, 8),
+    "elm": lambda: P.simple_pde_xtfc(8, neurons=30, seed=1),
+    "spectral": lambda: P.simple_pde(6, 6, mode="spectral"),
+    "spectral-extra": lambda: _spectral_with_extra(
+        6, D.ExtraUnknown("c", 0.5, 0.0, 2.0)),
+    "split-expr-kappa": lambda: D._split_problem(
+        *P.convection_diffusion_split(1.0, n=20, m=12)),
+    "balloon-branch-kappa": lambda: P.balloon(52, n=20, m=10),
+}
+
+
+def _random_state(bld, rng, spill):
+    """Coefficients, then each extra drawn across its bounds widened by
+    ``spill`` of their span on each side (beyond them the clamp is active)."""
+    q = [rng.uniform(-1.0, 1.0, bld.layout.width)]
+    for e in bld.problem.extras:
+        lo = -3.0 if e.lower is None else e.lower
+        hi = 3.0 if e.upper is None else e.upper
+        q.append([rng.uniform(lo - spill * (hi - lo), hi + spill * (hi - lo))])
+    return np.concatenate(q)
+
+
+def _random_points(bld, rng, n=40):
+    return np.column_stack([rng.uniform(*v.interval, n)
+                            for v in bld.problem.independent])
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDS))
+def test_solution_values_equal_coefficient_rows(name):
+    # the CE around the solved free function gives the values that the
+    # coefficient rows give at the same xi
+    bld = D.ProblemBuild(_BUILDS[name]())
+    width = bld.layout.width
+    zero = (0,) * len(bld.var_names)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def check(seed):
+        rng = np.random.default_rng(seed)
+        q = _random_state(bld, rng, 0.0)
+        extras, _ = bld.clamp_extras(
+            {e.name: q[width + i] for i, e in enumerate(bld.problem.extras)})
+        pts = _random_points(bld, rng)
+        for dep in bld.problem.dependent:
+            got = bld.evaluate_solution(dep.name, pts, q[:width], extras)
+            want = bld.fields[dep.name].eval(pts, zero, extras).value(q[:width])
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    check()
+
+
+def _fresh_system(bld, pts, q):
+    """Residual and Jacobian at ``q`` from a full evaluation of the
+    coefficient-row expressions at q's extras: the reference for
+    ``assemble_nonlinear``, which evaluates rows once and offsets per q."""
+    width = bld.layout.width
+    names = [e.name for e in bld.problem.extras]
+    extras, gates = bld.clamp_extras(
+        {nm: q[width + i] for i, nm in enumerate(names)})
+    xi = q[:width]
+    evals = bld.partial_evals(pts, extras)
+    bindings = bld.base_bindings(pts, extras)
+    bindings.update({tag: ev.value(xi) for tag, ev in evals.items()})
+    n = pts.shape[0]
+
+    def at(e):
+        return np.broadcast_to(np.asarray(E.evaluate(e, bindings), dtype=float),
+                               (n,))
+
+    res, jac = [], []
+    for r in bld._residuals:
+        present = E.free_variables(r)
+        J = np.zeros((n, width + len(names)))
+        dfdt = {tag: at(E.differentiate(r, tag, 1))
+                for tag in bld._tags if tag in present}
+        for tag, c in dfdt.items():
+            J[:, :width] += c[:, None] * evals[tag].rows
+        for i, nm in enumerate(names):
+            col = np.zeros(n)
+            if nm in present:
+                col += at(E.differentiate(r, nm, 1))
+            for tag, c in dfdt.items():
+                g = evals[tag].grads.get(nm)
+                if g is not None:
+                    col += c * g
+            J[:, width + i] = col * gates[nm]
+        res.append(at(r))
+        jac.append(J)
+    for c in bld.constraint_evals(bld.fields, extras):
+        J = np.zeros((c.rows.shape[0], width + len(names)))
+        J[:, :width] = c.rows
+        for i, nm in enumerate(names):
+            if nm in c.grads:
+                J[:, width + i] = c.grads[nm] * gates[nm]
+        res.append(c.value(xi))
+        jac.append(J)
+    return np.concatenate(res), np.vstack(jac)
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDS))
+def test_assembly_equals_fresh_partial_evaluations(name):
+    # rows once per grid plus offsets per iterate give exactly the system
+    # that a full evaluation at each iterate's extras gives
+    bld = D.ProblemBuild(_BUILDS[name]())
+    pts = bld.grid()
+    residual, jacobian = D.assemble_nonlinear(bld, pts)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def check(seed):
+        q = _random_state(bld, np.random.default_rng(seed), 0.25)
+        want_res, want_jac = _fresh_system(bld, pts, q)
+        np.testing.assert_array_equal(residual(q), want_res)
+        np.testing.assert_array_equal(jacobian(q), want_jac)
+
+    check()
 
 
 def test_nonlinear_jacobian_matches_finite_differences():
@@ -201,7 +329,8 @@ def test_clamp_composed_with_point_constraint_ce():
     bld = D.ProblemBuild(prob)
     rng = np.random.default_rng(2)
     xi = rng.uniform(-3, 3, bld.layout.width)
-    inner = BoundEvaluable(bld.fields["y"], xi)
+    inner = types.SimpleNamespace(
+        eval=lambda pts, orders: bld.fields["y"].eval(pts, orders).value(xi))
     clamped = D.InequalityClamp(inner, -0.5, 0.8)
     val = clamped.eval(np.array([[0.5]]), (0,))[0]
     assert val == pytest.approx(0.3, abs=1e-12)
@@ -348,22 +477,7 @@ def test_solve_split_c1_continuity_structural():
 
 def test_split_continuity_for_any_coefficients():
     prob, split = P.convection_diffusion_split(1.0, n=20, m=12)
-    # build the internal split problem directly
-    sub = None
-    import funcon.desolve as desolve_mod
-    orig_solve = desolve_mod.solve
-
-    def capture(problem, seed=None):
-        nonlocal sub
-        sub = problem
-        return orig_solve(problem, seed=seed)
-
-    desolve_mod.solve = capture
-    try:
-        D.solve_split(prob, split)
-    finally:
-        desolve_mod.solve = orig_solve
-    bld = D.ProblemBuild(sub)
+    bld = D.ProblemBuild(D._split_problem(prob, split))
     rng = np.random.default_rng(5)
     xi = rng.standard_normal(bld.layout.width)
     extras = {"xp": 0.37, "yp": -0.8, "dyp": 2.2}

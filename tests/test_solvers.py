@@ -168,16 +168,6 @@ def test_determinism():
     assert r1.residual_history == r2.residual_history
 
 
-def test_debug_jacobian_validation():
-    res = lambda x: np.array([x[0] ** 2 - 4.0])
-    bad_jac = lambda x: np.array([[7.0]])
-    with pytest.raises(ValueError, match="inconsistent"):
-        S.nlls(res, bad_jac, [1.0], S.NllsConfig(debug_check_jacobian=True))
-    good_jac = lambda x: np.array([[2.0 * x[0]]])
-    out = S.nlls(res, good_jac, [1.0], S.NllsConfig(debug_check_jacobian=True))
-    assert out.converged
-
-
 def test_update_hook_applies():
     res = lambda x: np.array([x[0] ** 2 - 4.0])
     jac = lambda x: np.array([[2.0 * x[0]]])
