@@ -101,60 +101,44 @@ def _normalize_removal(nC, count):
 # ---------------------------------------------------------------------------
 # univariate recursions (native variable z); rows = points, cols = 0..m
 
+# (alpha, beta, s, c) at step k of the three-term recursion
+# P_{k+1} = s*(beta + alpha*z)*P_k - c*P_{k-1}, with P_0 = 1 and P_{-1} = 0
+_THREE_TERM = {
+    "chebyshev": lambda k: (1.0, 0.0, 1.0 if k == 0 else 2.0, 1.0),
+    "legendre": lambda k: (1.0, 0.0, (2.0 * k + 1.0) / (k + 1.0),
+                           k / (k + 1.0)),
+    "laguerre": lambda k: (-1.0, 2.0 * k + 1.0, 1.0 / (k + 1.0),
+                           k * (1.0 / (k + 1.0))),
+    "hermite-prob": lambda k: (1.0, 0.0, 1.0, float(k)),
+    "hermite-phys": lambda k: (1.0, 0.0, 2.0, 2.0 * k),
+}
+
+
 def _recurrence_table(kind, z, m, d):
     """d-th z-derivative of basis functions 0..m at points z, shape (len(z), m+1).
 
-    Polynomial families use their three-term recursions, carried along for
-    every derivative order up to d simultaneously.
+    Polynomial families carry their three-term recursion along for every
+    derivative order q up to d simultaneously; differentiating it q times
+    gives P^(q)_{k+1} = s*((beta + alpha*z)*P^(q)_k + q*alpha*P^(q-1)_k)
+    - c*P^(q)_{k-1}.
     """
     z = np.asarray(z, dtype=float)
-    npts = z.shape[0]
     if kind == "fourier":
         return _fourier_table(z, m, d)
+    coefficients = _THREE_TERM[kind]
     # tab[q] holds the q-th derivative table while recursing
-    tab = np.zeros((d + 1, npts, m + 1))
+    tab = np.zeros((d + 1, z.shape[0], m + 1))
     tab[0, :, 0] = 1.0
-    if m >= 1:
-        if kind == "chebyshev":
-            tab[0, :, 1] = z
-            if d >= 1:
-                tab[1, :, 1] = 1.0
-        elif kind == "legendre":
-            tab[0, :, 1] = z
-            if d >= 1:
-                tab[1, :, 1] = 1.0
-        elif kind == "laguerre":
-            tab[0, :, 1] = 1.0 - z
-            if d >= 1:
-                tab[1, :, 1] = -1.0
-        elif kind == "hermite-prob":
-            tab[0, :, 1] = z
-            if d >= 1:
-                tab[1, :, 1] = 1.0
-        elif kind == "hermite-phys":
-            tab[0, :, 1] = 2.0 * z
-            if d >= 1:
-                tab[1, :, 1] = 2.0
-        else:
-            raise ValueError(f"unknown basis family {kind!r}")
-    for k in range(1, m):
-        for q in range(d, -1, -1):
+    for k in range(m):
+        alpha, beta, s, c = coefficients(k)
+        w = beta + alpha * z
+        for q in range(d + 1):
             lower = tab[q - 1, :, k] if q >= 1 else 0.0
-            if kind == "chebyshev":
-                nxt = 2.0 * (q * lower + z * tab[q, :, k]) - tab[q, :, k - 1]
-            elif kind == "legendre":
-                a = (2.0 * k + 1.0) / (k + 1.0)
-                b = k / (k + 1.0)
-                nxt = a * (q * lower + z * tab[q, :, k]) - b * tab[q, :, k - 1]
-            elif kind == "laguerre":
-                a = 1.0 / (k + 1.0)
-                nxt = ((2.0 * k + 1.0 - z) * tab[q, :, k] - q * lower) * a \
-                    - (k * a) * tab[q, :, k - 1]
-            elif kind == "hermite-prob":
-                nxt = q * lower + z * tab[q, :, k] - k * tab[q, :, k - 1]
-            else:  # hermite-phys
-                nxt = 2.0 * q * lower + 2.0 * z * tab[q, :, k] \
-                    - 2.0 * k * tab[q, :, k - 1]
+            prev = tab[q, :, k - 1] if k >= 1 else 0.0
+            nxt = w * tab[q, :, k]
+            nxt += (q * alpha) * lower
+            nxt *= s
+            nxt -= c * prev
             tab[q, :, k + 1] = nxt
     return tab[d]
 

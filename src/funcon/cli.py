@@ -275,16 +275,22 @@ def report_to_dict(report: SolveReport, problem: DeProblem) -> dict:
 def _write_report(report, problem, out, fmt):
     doc = report_to_dict(report, problem)
     if fmt == "json":
-        text = json.dumps(doc, indent=2)
+        text = json.dumps(doc, indent=2) + "\n"
     else:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["key", "value"])
-        for k, v in doc["metrics"].items():
-            w.writerow([k, v])
-        text = buf.getvalue()
+        text = _csv([("key", "value"), *doc["metrics"].items()])
+    _emit(text, out)
+
+
+def _csv(rows):
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _emit(text, out):
+    """Write ``text`` to the file ``out``, or to stdout when ``out`` is "-"."""
     if out == "-":
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -408,20 +414,6 @@ def run_suite(name, seeds=range(10)):
     return SUITES[name](list(seeds))
 
 
-def _emit_result_table(rows, out):
-    text = io.StringIO()
-    w = csv.DictWriter(text, fieldnames=RESULT_COLUMNS)
-    w.writeheader()
-    for r in rows:
-        w.writerow({k: r.get(k) for k in RESULT_COLUMNS})
-    data = text.getvalue()
-    if out == "-":
-        sys.stdout.write(data)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(data)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -469,7 +461,9 @@ def cmd_bench(suite, out_path, seeds):
     except KeyError as err:
         click.echo(f"error: {err.args[0]}", err=True)
         sys.exit(1)
-    _emit_result_table(rows, out_path)
+    table = [RESULT_COLUMNS] + [[r.get(k) for k in RESULT_COLUMNS]
+                                for r in rows]
+    _emit(_csv(table), out_path)
     sys.exit(0)
 
 
@@ -486,16 +480,7 @@ def cmd_plotdata(report_path, out_path):
     except ConfigError as err:
         click.echo(f"report error: {err}", err=True)
         sys.exit(1)
-    rows = plot_rows(problem, doc)
-    text = io.StringIO()
-    w = csv.writer(text)
-    for row in rows:
-        w.writerow(row)
-    if out_path == "-":
-        sys.stdout.write(text.getvalue())
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text.getvalue())
+    _emit(_csv(plot_rows(problem, doc)), out_path)
     sys.exit(0)
 
 

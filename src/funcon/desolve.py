@@ -7,6 +7,12 @@ solver settings.  ``solve`` dispatches between one-shot linear least squares
 (affine residuals, no extras) and Gauss-Newton, evaluates errors on a uniform
 test grid (endpoints included), and returns a ``SolveReport``.
 
+``ProblemBuild`` differentiates each residual once in every unknown it
+mentions.  Those partials are the Jacobian's coefficients and also choose the
+path: a residual is affine when none of its partials in the partial tags
+mentions a tag and no tag sits under ``sign``, the one function whose partial
+is taken as 0.
+
 Constraints hold at machine precision by construction whenever the mode is
 "embedded"; "spectral" mode skips the constrained expression and instead
 appends one constraint row per boundary training point, on the linear and
@@ -238,6 +244,13 @@ class ProblemBuild:
 
         self._residuals = tuple(_as_expr(r) for r in problem.residuals)
         self._tags = self._collect_tags()
+        # each residual's partials in the unknowns it mentions, tags in
+        # ``_tags`` order then extras: the Jacobian's coefficients, and the
+        # affine verdict (first residual that is not affine, or None)
+        self._partials = tuple(self._differentiate(r) for r in self._residuals)
+        self._nonaffine = next(
+            (r for r, d in zip(self._residuals, self._partials)
+             if not self._affine(r, d)), None)
 
     def _maps(self, spec):
         from funcon.basis import NATIVE_DOMAINS
@@ -300,9 +313,20 @@ class ProblemBuild:
                     raise ValueError(f"unknown symbol {name!r} in residual")
         return tags
 
+    def _differentiate(self, r):
+        present = exprfn.free_variables(r)
+        return {nm: exprfn.differentiate(r, nm, 1)
+                for nm in (*self._tags, *self.extras_spec) if nm in present}
+
+    def _affine(self, r, partials):
+        """Affine in the tags: no tag partial mentions a tag, and no tag sits
+        under ``sign``, whose partial the Jacobian takes as 0."""
+        return not _tag_under_sign(r, self._tags) and all(
+            self._tags.keys().isdisjoint(exprfn.free_variables(d))
+            for nm, d in partials.items() if nm in self._tags)
+
     def is_affine(self):
-        return all(_affine_kind(r, set(self._tags)) != "nonlinear"
-                   for r in self._residuals)
+        return self._nonaffine is None
 
     # -- evaluation helpers ----------------------------------------------------
 
@@ -392,41 +416,16 @@ def _mesh(axes):
     return np.column_stack([m.ravel() for m in mesh])
 
 
-def _affine_kind(e, tags):
-    """'const' (no unknowns), 'linear', or 'nonlinear' in the partial tags."""
-    if isinstance(e, (exprfn.Num, exprfn.Const)):
-        return "const"
-    if isinstance(e, exprfn.Var):
-        return "linear" if e.name in tags else "const"
-    if isinstance(e, exprfn.Neg):
-        return _affine_kind(e.arg, tags)
+def _tag_under_sign(e, tags):
     if isinstance(e, exprfn.Call):
-        k = _affine_kind(e.arg, tags)
-        return "const" if k == "const" else "nonlinear"
+        if e.fn == "sign":
+            return not tags.keys().isdisjoint(exprfn.free_variables(e.arg))
+        return _tag_under_sign(e.arg, tags)
+    if isinstance(e, exprfn.Neg):
+        return _tag_under_sign(e.arg, tags)
     if isinstance(e, exprfn.Bin):
-        a = _affine_kind(e.left, tags)
-        b = _affine_kind(e.right, tags)
-        if e.op in "+-":
-            order = {"const": 0, "linear": 1, "nonlinear": 2}
-            return max((a, b), key=order.get)
-        if e.op == "*":
-            if a == "const":
-                return b
-            if b == "const":
-                return a
-            return "nonlinear"
-        if e.op == "/":
-            if b == "const":
-                return a
-            return "nonlinear"
-        if e.op == "^":
-            if a == "const" and b == "const":
-                return "const"
-            if a == "linear" and isinstance(e.right, exprfn.Num) \
-                    and e.right.value == 1.0:
-                return "linear"
-            return "nonlinear"
-    raise AssertionError(type(e))
+        return _tag_under_sign(e.left, tags) or _tag_under_sign(e.right, tags)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +439,10 @@ def assemble_linear(bld: ProblemBuild, pts=None):
     basis index within."""
     if bld.problem.extras:
         raise NonAffineResidualError("extras require the nonlinear path")
-    tags = set(bld._tags)
-    for r in bld._residuals:
-        if _affine_kind(r, tags) == "nonlinear":
-            raise NonAffineResidualError(
-                f"residual {exprfn.to_source(r)!r} is not affine in the unknowns")
+    if not bld.is_affine():
+        raise NonAffineResidualError(
+            f"residual {exprfn.to_source(bld._nonaffine)!r} is not affine in "
+            f"the unknowns")
     residual, jacobian = assemble_nonlinear(bld, pts)
     q0 = np.zeros(bld.layout.width)
     return jacobian(q0), -residual(q0)
@@ -468,14 +466,6 @@ def assemble_nonlinear(bld: ProblemBuild, pts=None):
     rows = {tag: ev.rows for tag, ev in bld.partial_evals(pts, init).items()}
     con_rows = [c.rows for c in bld.constraint_evals(bld.fields, init)]
     last = {}  # raw extras -> offsets; residual and jacobian at one q share it
-
-    dcache = {}
-
-    def dexpr(r, name):
-        key = (id(r), name)
-        if key not in dcache:
-            dcache[key] = exprfn.differentiate(r, name, 1)
-        return dcache[key]
 
     def state(q):
         xi = q[:width]
@@ -504,22 +494,18 @@ def assemble_nonlinear(bld: ProblemBuild, pts=None):
     def jacobian(q):
         _, gates, offs, cons, bindings = state(q)
         blocks = []
-        for r in bld._residuals:
+        for partials in bld._partials:
             J = np.zeros((n, width + len(extra_names)))
-            present = exprfn.free_variables(r)
-            dfdt = {}
-            for tag in bld._tags:
-                if tag not in present:
-                    continue
-                c = np.broadcast_to(np.asarray(
-                    exprfn.evaluate(dexpr(r, tag), bindings), dtype=float), (n,))
-                dfdt[tag] = c
+            coef = {nm: np.broadcast_to(np.asarray(
+                exprfn.evaluate(d, bindings), dtype=float), (n,))
+                for nm, d in partials.items()}
+            dfdt = {tag: c for tag, c in coef.items() if tag in bld._tags}
+            for tag, c in dfdt.items():
                 J[:, :width] += c[:, None] * rows[tag]
             for i, nm in enumerate(extra_names):
                 col = np.zeros(n)
-                if nm in present:
-                    col += np.broadcast_to(np.asarray(
-                        exprfn.evaluate(dexpr(r, nm), bindings), dtype=float), (n,))
+                if nm in coef:
+                    col += coef[nm]
                 for tag, c in dfdt.items():
                     g = offs[tag].grads.get(nm)
                     if g is not None:

@@ -59,16 +59,20 @@ class ProcessingOrder:
     forced: tuple  # (dim_with_integral, integration_dim) precedences
 
 
-def _precedences(constraints_by_dim):
-    forced = []
+def _foreign_integrals(constraints_by_dim):
+    """(l, j, lo, hi) for each integral over dimension j inside a point
+    constraint on dimension l, in constraint order."""
     for l, cons in constraints_by_dim.items():
         for c in cons:
             for s in c.operator.specs:
                 if isinstance(s, PointDeriv):
-                    for j, _, _ in s.foreign:
-                        if j != l:
-                            forced.append((l, j))
-    return forced
+                    for j, lo, hi in s.foreign:
+                        yield l, j, lo, hi
+
+
+def _precedences(constraints_by_dim):
+    return [(l, j) for l, j, _, _ in _foreign_integrals(constraints_by_dim)
+            if j != l]
 
 
 def order_dimensions(constraints_by_dim: dict) -> ProcessingOrder:
@@ -103,17 +107,8 @@ def order_dimensions(constraints_by_dim: dict) -> ProcessingOrder:
 def integral_conditions_for(constraints_by_dim: dict, k) -> list:
     """(lo, hi) integration intervals over dimension k appearing in other
     dimensions' constraints; each becomes a zero-integral switching condition."""
-    out = []
-    for l, cons in constraints_by_dim.items():
-        if l == k:
-            continue
-        for c in cons:
-            for s in c.operator.specs:
-                if isinstance(s, PointDeriv):
-                    for j, lo, hi in s.foreign:
-                        if j == k:
-                            out.append((lo, hi))
-    return out
+    return [(lo, hi) for l, j, lo, hi in _foreign_integrals(constraints_by_dim)
+            if l != k and j == k]
 
 
 def augment_integral_switching(constraints, foreign_intervals, dim=0,

@@ -82,7 +82,6 @@ class NllsConfig:
     tol: float = 1e-13
     max_iter: int = 50
     method: str = "svd-pinv"
-    update_hook: object = None  # xi -> xi, applied after each step
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -126,6 +125,4 @@ def nlls(residual, jacobian, xi0, config: NllsConfig = None) -> NllsResult:
         J = np.atleast_2d(np.asarray(jacobian(xi), dtype=float))
         dxi = lstsq(J, -L, method=config.method)
         xi = xi + dxi
-        if config.update_hook is not None:
-            xi = np.asarray(config.update_hook(xi), dtype=float)
         it += 1

@@ -129,6 +129,27 @@ def test_derivative_recursions_match_richardson_fd(kind, window):
         assert np.max(np.abs(got - rich) / scale) < 1e-7
 
 
+@pytest.mark.parametrize("kind,module,prefix,window", [
+    ("chebyshev", "chebyshev", "cheb", (-1.0, 1.0)),
+    ("legendre", "legendre", "leg", (-1.0, 1.0)),
+    ("laguerre", "laguerre", "lag", (0.0, 8.0)),
+    ("hermite-prob", "hermite_e", "herme", (-3.0, 3.0)),
+    ("hermite-phys", "hermite", "herm", (-3.0, 3.0)),
+])
+def test_polynomial_tables_match_numpy(kind, module, prefix, window):
+    # d-th derivative of basis function k: the vander matrix of degree m - d
+    # times the d-times differentiated unit coefficient vectors
+    poly = getattr(np.polynomial, module)
+    vander, der = getattr(poly, prefix + "vander"), getattr(poly, prefix + "der")
+    m = 12
+    z = np.random.default_rng(7).uniform(*window, 50)
+    for d in range(5):
+        want = vander(z, m - d) @ der(np.eye(m + 1), d)
+        got = B.BasisFamily(kind, m).table(z, d)
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+
 def test_chain_rule_scaling():
     fam = B.BasisFamily("chebyshev", 6)
     dmap = B.DomainMap(0.0, 2.0, -1.0, 1.0)

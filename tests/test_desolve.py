@@ -59,10 +59,14 @@ def test_non_affine_residual_detected():
     ("y^2", False),
     ("y_x/y", False),
     ("exp(-x)*(y_xx + y)", True),
+    # sign's partial is taken as 0, so a tag under it must not pass as affine
+    ("y_x + sign(y) - 1", False),
+    ("y*sign(x) + y_x", True),
+    ("y_x*y_xx", False),
+    ("(y+1)^2 - y^2", False),
 ])
 def test_affinity_classification(src, affine):
-    kind = D._affine_kind(E.parse(src), {"y", "y_x", "y_xx"})
-    assert (kind != "nonlinear") == affine
+    assert D.ProblemBuild(first_order_ode(residual=src)).is_affine() == affine
 
 
 def test_linear_problem_through_nonlinear_path_one_iteration():
@@ -161,6 +165,25 @@ def test_solution_values_equal_coefficient_rows(name):
             want = bld.fields[dep.name].eval(pts, zero, extras).value(q[:width])
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(n for n, make in _BUILDS.items()
+                                         if not make().extras))
+def test_affine_verdict_means_a_constant_jacobian(name):
+    # the verdict and the Jacobian come from the same partials: an affine
+    # residual without extras has the same Jacobian at every q
+    bld = D.ProblemBuild(_BUILDS[name]())
+    assert bld.is_affine()
+    _, jacobian = D.assemble_nonlinear(bld)
+    j0 = jacobian(np.zeros(bld.layout.width))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def check(seed):
+        q = _random_state(bld, np.random.default_rng(seed), 0.0)
+        np.testing.assert_array_equal(jacobian(q), j0)
 
     check()
 

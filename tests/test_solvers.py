@@ -168,15 +168,6 @@ def test_determinism():
     assert r1.residual_history == r2.residual_history
 
 
-def test_update_hook_applies():
-    res = lambda x: np.array([x[0] ** 2 - 4.0])
-    jac = lambda x: np.array([[2.0 * x[0]]])
-    clamp = lambda x: np.clip(x, -1.5, 1.5)
-    out = S.nlls(res, jac, [1.0], S.NllsConfig(update_hook=clamp, max_iter=5))
-    assert out.reason == "max-iterations"
-    assert abs(out.xi[0]) <= 1.5
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         S.NllsConfig(tol=0.0)
