@@ -7,6 +7,11 @@ only RNG consumer is ELM hidden-layer initialization, confined to
 construction time.  Collocation for every family defaults to CGL nodes
 mapped linearly onto the problem interval (families with infinite native
 domains require an explicit finite window from the caller).
+
+A ``TensorFeature`` builds each 1-D table only at the unique coordinates of
+its points.  ``eval`` multiplies the tables into coefficient rows;
+``values`` gives h(x)^T coef without rows, by contracting the dense
+coefficient tensor with the tables one dimension at a time.
 """
 
 from __future__ import annotations
@@ -329,6 +334,9 @@ class TensorFeature:
         self.maps = tuple(maps)
         self.total_degree = total_degree
         self.indices = self._build_indices()
+        # column j's basis index in dimension k is _idx[j, k]
+        self._idx = np.asarray(self.indices, dtype=int).reshape(
+            len(self.indices), len(self.families))
 
     def _build_indices(self):
         dims = len(self.families)
@@ -356,15 +364,42 @@ class TensorFeature:
     def count(self):
         return len(self.indices)
 
+    def _tables(self, pts, orders):
+        """Per dimension k, the full 1-D table of derivative orders[k] at
+        every point, shape (npoints, degree_k + 1).  Each table is built at
+        the unique coordinates only and gathered back by the inverse index;
+        the recursions are elementwise, so the entries are exactly those of
+        a table built at every point."""
+        tables = []
+        for k, (fam, dmap) in enumerate(zip(self.families, self.maps)):
+            coords, inverse = np.unique(pts[:, k], return_inverse=True)
+            table = eval_basis(fam, dmap, coords, orders[k], full=True)
+            tables.append(table[inverse])
+        return tables
+
     def eval(self, pts: np.ndarray, orders) -> np.ndarray:
         """Mixed-partial feature matrix, shape (npoints, count)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        idx = np.asarray(self.indices, dtype=int)
-        cols = np.ones((pts.shape[0], len(self.indices)))
-        for k, (fam, dmap) in enumerate(zip(self.families, self.maps)):
-            table = eval_basis(fam, dmap, pts[:, k], orders[k], full=True)
-            cols *= table[:, idx[:, k]]
+        cols = np.ones((pts.shape[0], self.count))
+        for k, table in enumerate(self._tables(pts, orders)):
+            cols *= table[:, self._idx[:, k]]
         return cols
+
+    def values(self, pts: np.ndarray, orders, coef) -> np.ndarray:
+        """Mixed partial of h(x)^T coef, shape (npoints,), without the
+        (npoints, count) matrix: coef is scattered into the dense
+        (m_1+1) x ... x (m_d+1) tensor (zeros at dropped indices) and
+        contracted with the 1-D tables one dimension at a time."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        n = pts.shape[0]
+        dense = np.zeros([fam.degree + 1 for fam in self.families])
+        dense[tuple(self._idx.T)] = coef
+        first, *rest = self._tables(pts, orders)
+        acc = first @ dense.reshape(dense.shape[0], -1)
+        for table in rest:
+            acc = np.einsum("nj,njr->nr", table,
+                            acc.reshape(n, table.shape[1], -1))
+        return acc.reshape(n)
 
 
 class ElmFeature:
@@ -391,3 +426,8 @@ class ElmFeature:
             if d:
                 scale = scale * (self.family.weights[:, k] * self.maps[k].slope) ** d
         return vals * scale
+
+    def values(self, pts: np.ndarray, orders, coef) -> np.ndarray:
+        """Mixed partial of h(x)^T coef, shape (npoints,); random features
+        are not separable, so this is the feature matrix times coef."""
+        return self.eval(pts, orders) @ coef

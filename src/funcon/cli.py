@@ -473,15 +473,30 @@ def cmd_bench(suite, out_path, seeds):
 @click.option("--out", "out_path", default="-")
 def cmd_plotdata(report_path, out_path):
     """Sample a solved report on its test grid as CSV for external plotting."""
-    with open(report_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
     try:
-        problem = problem_from_config(doc["config"])
+        doc = _read_report(report_path)
+        rows = plot_rows(problem_from_config(doc["config"]), doc)
     except ConfigError as err:
         click.echo(f"report error: {err}", err=True)
         sys.exit(1)
-    _emit(_csv(plot_rows(problem, doc)), out_path)
+    _emit(_csv(rows), out_path)
     sys.exit(0)
+
+
+def _read_report(path):
+    """The JSON report ``solve`` wrote to ``path``; ConfigError names what
+    is missing from it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ConfigError(f"not a JSON report ({err})") from err
+    if not isinstance(doc, dict):
+        raise ConfigError("not a JSON report (expected an object)")
+    for key in ("config", "xi"):
+        if key not in doc:
+            raise ConfigError(f"missing required key {key!r}")
+    return doc
 
 
 def plot_rows(problem: DeProblem, doc):
@@ -492,15 +507,12 @@ def plot_rows(problem: DeProblem, doc):
             problem, test_points=tuple(100 for _ in problem.independent))
     bld = ProblemBuild(problem)
     pts = bld.test_grid()
-    extras = {k: float(v) for k, v in doc.get("extras", {}).items()}
+    xi_full, extras = _report_unknowns(doc, bld)
     names = [v.name for v in problem.independent]
     out_rows = []
     header = list(names)
     preds = {}
     truths = {}
-    xi_full = np.zeros(bld.layout.width)
-    for dep in problem.dependent:
-        xi_full[bld.layout.slice_of(dep.name)] = doc["xi"][dep.name]
     for dep in problem.dependent:
         preds[dep.name], truth = bld.solution_and_truth(dep.name, pts,
                                                         xi_full, extras)
@@ -520,6 +532,35 @@ def plot_rows(problem: DeProblem, doc):
                 row.append(repr(abs(float(preds[dep.name][i]) - t)))
         out_rows.append(row)
     return out_rows
+
+
+def _report_unknowns(doc, bld):
+    """The report's coefficients, laid out as ``bld`` lays them out, and its
+    value of each declared extra; ConfigError names what is missing."""
+    xi, given = doc["xi"], doc.get("extras", {})
+    for key, value in (("xi", xi), ("extras", given)):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key}: expected a mapping")
+    xi_full = np.zeros(bld.layout.width)
+    for dep in bld.problem.dependent:
+        if dep.name not in xi:
+            raise ConfigError(f"xi: missing dependent variable {dep.name!r}")
+        cols = bld.layout.slice_of(dep.name)
+        try:
+            coef = np.asarray(xi[dep.name], dtype=float)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"xi.{dep.name}: expected numbers ({err})") \
+                from err
+        if coef.shape != xi_full[cols].shape:
+            raise ConfigError(f"xi.{dep.name}: expected {xi_full[cols].size} "
+                              f"coefficients, got shape {coef.shape}")
+        xi_full[cols] = coef
+    extras = {}
+    for extra in bld.problem.extras:
+        if extra.name not in given:
+            raise ConfigError(f"extras: missing value of {extra.name!r}")
+        extras[extra.name] = _number(given[extra.name], f"extras.{extra.name}")
+    return xi_full, extras
 
 
 if __name__ == "__main__":

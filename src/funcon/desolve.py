@@ -21,7 +21,9 @@ the Gauss-Newton path alike.
 Each dependent variable's processed univariate CEs (``ProblemBuild.ces``)
 compose around the free function a caller holds: h(x)^T xi for the
 coefficient rows, evaluated once per grid; zero for the kappa offsets,
-once per Gauss-Newton iterate; the solved h(x)^T xi for solution values.
+once per Gauss-Newton iterate; the solved h(x)^T xi for solution values,
+which the feature's ``values`` gives without building rows (a tensor
+feature contracts xi with its 1-D tables one dimension at a time).
 """
 
 from __future__ import annotations
@@ -390,11 +392,13 @@ class ProblemBuild:
 
     def evaluate_solution(self, dep_name, pts, xi, extras):
         """Values (n,) of one dependent variable at coefficients ``xi``: its
-        CE around the solved free function h(x)^T xi, with no rows."""
+        CE around the solved free function h(x)^T xi, which
+        ``feature.values`` evaluates without an (n, count) row matrix."""
         feature = self.features[dep_name]
         coef = xi[self.layout.slice_of(dep_name)]
-        solved = CallableField(lambda p, orders: feature.eval(p, orders) @ coef,
-                               self.var_names, self.problem.params)
+        solved = CallableField(
+            lambda p, orders: feature.values(p, orders, coef),
+            self.var_names, self.problem.params)
         zero = (0,) * len(self.var_names)
         return self.compose(dep_name, solved).eval(pts, zero, extras).offset
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funcon import basis as B
 
@@ -213,6 +215,79 @@ def test_tensor_retained_counts_3d():
         fams = [B.BasisFamily("chebyshev", m, removal=2)] * 3
         feat = B.TensorFeature(fams, maps, total_degree=m)
         assert feat.count == count
+
+
+# a finite window of each family's native domain for the problem interval
+_WINDOWS = {"chebyshev": (-1.0, 1.0), "legendre": (-1.0, 1.0),
+            "fourier": (-math.pi, math.pi), "laguerre": (0.0, 6.0),
+            "hermite-prob": (-3.0, 3.0), "hermite-phys": (-3.0, 3.0)}
+
+
+@st.composite
+def _tensor_cases(draw):
+    """(feature, points, orders, coef): 1-3 dimensions, each of any family,
+    degree 0-8 and removal set, an optional total-degree cap, orders 0-3,
+    and points on a mesh, scattered with repeated coordinates, or single."""
+    dims = draw(st.integers(1, 3))
+    fams, maps = [], []
+    for _ in range(dims):
+        kind = draw(st.sampled_from(sorted(_WINDOWS)))
+        degree = draw(st.integers(0, 8))
+        removal = draw(st.sets(st.integers(0, degree)))
+        fams.append(B.BasisFamily(kind, degree, tuple(removal)))
+        maps.append(B.DomainMap(-0.5, 2.0, *_WINDOWS[kind]))
+    feat = B.TensorFeature(fams, maps, draw(st.none() | st.integers(0, 12)))
+    orders = tuple(draw(st.integers(0, 3)) for _ in range(dims))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a few coordinates per dimension, endpoints included
+    pools = [np.concatenate([[-0.5, 2.0], rng.uniform(-0.5, 2.0, 3)])
+             for _ in range(dims)]
+    layout = draw(st.sampled_from(["mesh", "scattered", "single"]))
+    if layout == "mesh":
+        axes = [rng.choice(pool, draw(st.integers(1, 4)), replace=False)
+                for pool in pools]
+        grid = np.meshgrid(*axes, indexing="ij")
+        pts = np.column_stack([g.ravel() for g in grid])
+    else:
+        n = 1 if layout == "single" else draw(st.integers(2, 30))
+        pts = np.column_stack([rng.choice(pool, n) for pool in pools])
+    return feat, pts, orders, rng.normal(size=feat.count)
+
+
+def _rows_by_point(feat, pts, orders):
+    """Reference rows: per point, the product of the 1-D table entries."""
+    rows = np.empty((pts.shape[0], feat.count))
+    for p, x in enumerate(pts):
+        tables = [B.eval_basis(fam, dmap, x[k], orders[k], full=True)[0]
+                  for k, (fam, dmap) in enumerate(zip(feat.families,
+                                                      feat.maps))]
+        for c, idx in enumerate(feat.indices):
+            value = 1.0
+            for k, i in enumerate(idx):
+                value *= tables[k][i]
+            rows[p, c] = value
+    return rows
+
+
+@given(_tensor_cases())
+@settings(max_examples=150, deadline=None)
+def test_tensor_rows_equal_per_point_products(case):
+    feat, pts, orders, _ = case
+    np.testing.assert_array_equal(feat.eval(pts, orders),
+                                  _rows_by_point(feat, pts, orders))
+
+
+@given(_tensor_cases())
+@settings(max_examples=150, deadline=None)
+def test_tensor_values_match_rows_within_dot_product_bound(case):
+    feat, pts, orders, coef = case
+    rows = feat.eval(pts, orders)
+    # the contraction reorders a sum of count products of d + 1 factors
+    bound = ((feat.count + len(orders)) * np.finfo(float).eps
+             * (np.abs(rows) @ np.abs(coef)))
+    got = feat.values(pts, orders, coef)
+    assert got.shape == (pts.shape[0],)
+    assert np.all(np.abs(got - rows @ coef) <= bound)
 
 
 def test_tensor_feature_values_are_products():

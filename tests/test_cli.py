@@ -220,6 +220,53 @@ def test_plotdata_matches_report(tmp_path, runner):
     assert errs.max() == pytest.approx(rep["metrics"]["max_error"], rel=1e-12)
 
 
+def _csv_report(tmp_path, runner):
+    cfg = _write(tmp_path, SIMPLE_CONFIG)
+    out = tmp_path / "report.csv"
+    runner.invoke(cli.main, ["solve", "--config", cfg, "--out", str(out),
+                             "--format", "csv"])
+    return out.read_text()
+
+
+def _json_report(edit):
+    def write(tmp_path, runner):
+        cfg = _write(tmp_path, SIMPLE_CONFIG)
+        out = tmp_path / "report.json"
+        runner.invoke(cli.main, ["solve", "--config", cfg, "--out", str(out)])
+        doc = json.loads(out.read_text())
+        edit(doc)
+        return json.dumps(doc)
+    return write
+
+
+def _declare_extra_c(doc):
+    doc["config"]["extras"] = [{"name": "c", "init": 0.5}]
+
+
+@pytest.mark.parametrize("report,fragments", [
+    (_csv_report, ("not a JSON report",)),
+    (_json_report(lambda doc: doc.pop("config")), ("'config'",)),
+    (_json_report(lambda doc: doc.pop("xi")), ("'xi'",)),
+    (_json_report(lambda doc: doc["xi"].pop("u")), ("xi", "'u'")),
+    (_json_report(lambda doc: doc["xi"]["u"].pop()),
+     ("xi.u", "41 coefficients")),
+    (_json_report(lambda doc: doc["xi"].update(u=[1.0])),
+     ("xi.u", "41 coefficients")),
+    (_json_report(lambda doc: doc["xi"].update(u="abc")), ("xi.u",)),
+    (_json_report(_declare_extra_c), ("extras", "'c'")),
+    (_json_report(lambda doc: (_declare_extra_c(doc),
+                               doc.update(extras={"c": "abc"}))),
+     ("extras.c", "'abc'")),
+], ids=["csv", "no-config", "no-xi", "no-u", "short-u", "one-u", "text-u",
+        "no-c", "text-c"])
+def test_plotdata_bad_report_named_without_traceback(tmp_path, runner,
+                                                     report, fragments):
+    path = _write(tmp_path, report(tmp_path, runner), name="bad-report")
+    _assert_named_exit_1(runner.invoke(cli.main, ["plotdata", "--report",
+                                                  path]),
+                         "report error", *fragments)
+
+
 def test_plotdata_without_analytic_omits_truth_columns(tmp_path, runner):
     doc = yaml.safe_load(SIMPLE_CONFIG)
     del doc["analytic"]
