@@ -11,7 +11,11 @@ domains require an explicit finite window from the caller).
 A ``TensorFeature`` builds each 1-D table only at the unique coordinates of
 its points.  ``eval`` multiplies the tables into coefficient rows;
 ``values`` gives h(x)^T coef without rows, by contracting the dense
-coefficient tensor with the tables one dimension at a time.
+coefficient tensor with the tables one dimension at a time.  A constrained
+expression whose every dimension acts on functions of that dimension alone
+projects each 1-D table, T - phi (C T), and ``eval(pts, orders,
+projection)`` multiplies the projected tables into the expression's
+coefficient rows.
 """
 
 from __future__ import annotations
@@ -364,24 +368,36 @@ class TensorFeature:
     def count(self):
         return len(self.indices)
 
-    def _tables(self, pts, orders):
+    def _tables(self, pts, orders, projection=None):
         """Per dimension k, the full 1-D table of derivative orders[k] at
         every point, shape (npoints, degree_k + 1).  Each table is built at
         the unique coordinates only and gathered back by the inverse index;
         the recursions are elementwise, so the entries are exactly those of
-        a table built at every point."""
+        a table built at every point.
+
+        ``projection`` maps a dimension k to (ce, applied): that dimension's
+        univariate constrained expression and its operators applied to the
+        full table, ``applied[j, i]`` = C_j[T_i].  Dimension k's table is
+        then the projected T - phi (C T), phi the switching functions'
+        derivatives of order orders[k]."""
+        projection = projection or {}
         tables = []
         for k, (fam, dmap) in enumerate(zip(self.families, self.maps)):
             coords, inverse = np.unique(pts[:, k], return_inverse=True)
             table = eval_basis(fam, dmap, coords, orders[k], full=True)
+            if k in projection:
+                ce, applied = projection[k]
+                table = table - ce.switching(coords, orders[k]) @ applied
             tables.append(table[inverse])
         return tables
 
-    def eval(self, pts: np.ndarray, orders) -> np.ndarray:
-        """Mixed-partial feature matrix, shape (npoints, count)."""
+    def eval(self, pts: np.ndarray, orders, projection=None) -> np.ndarray:
+        """Mixed-partial feature matrix, shape (npoints, count); with a
+        ``projection`` (see ``_tables``), the rows of the constrained
+        expression that projects those dimensions."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         cols = np.ones((pts.shape[0], self.count))
-        for k, table in enumerate(self._tables(pts, orders)):
+        for k, table in enumerate(self._tables(pts, orders, projection)):
             cols *= table[:, self._idx[:, k]]
         return cols
 

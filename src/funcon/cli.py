@@ -70,6 +70,45 @@ def _integer(value, path, minimum):
     return value
 
 
+def _items(value, path):
+    """A list; an absent optional list is empty."""
+    value = [] if value is None else value
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{path}: expected a list, got {value!r}")
+    return value
+
+
+def _pair(value, path):
+    """[lo, hi]: a list of two finite numbers."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{path}: expected [lo, hi], got {value!r}")
+    return tuple(_number(v, path) for v in value)
+
+
+def _integers(value, path, minimum):
+    """A list of integers, each >= minimum."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{path}: expected a list of integers, got {value!r}")
+    return tuple(_integer(v, path, minimum) for v in value)
+
+
+def _dimension(value, path, names):
+    if value not in names:
+        raise ConfigError(f"{path}: unknown dimension {value!r}")
+
+
+def _mapping(value, path, known=None, what="dimension"):
+    """A mapping, empty when absent; with ``known``, its keys must be among
+    those names of a ``what``."""
+    value = value or {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected a mapping")
+    for key in value:
+        if known is not None and key not in known:
+            raise ConfigError(f"{path}.{key}: unknown {what} {key!r}")
+    return value
+
+
 def _expression(value, path):
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return _number(value, path)
@@ -97,7 +136,7 @@ def problem_from_config(doc) -> DeProblem:
                        "test_points", "seed"))
     indep = []
     names = []
-    for i, item in enumerate(doc["independent"]):
+    for i, item in enumerate(_items(doc["independent"], "independent")):
         p = f"independent[{i}]"
         _require(item, p, ("name", "interval", "points"), ("spacing",))
         name = item["name"]
@@ -105,7 +144,7 @@ def problem_from_config(doc) -> DeProblem:
             raise ConfigError(
                 f"{p}.name: independent variables need single-letter names "
                 f"(partial tags are letter suffixes), got {name!r}")
-        lo, hi = (_number(v, f"{p}.interval") for v in item["interval"])
+        lo, hi = _pair(item["interval"], f"{p}.interval")
         spacing = item.get("spacing", "cgl")
         if spacing not in ("cgl", "uniform"):
             raise ConfigError(f"{p}.spacing: must be 'cgl' or 'uniform'")
@@ -114,37 +153,37 @@ def problem_from_config(doc) -> DeProblem:
         names.append(name)
 
     deps = []
-    for i, item in enumerate(doc["dependent"]):
+    for i, item in enumerate(_items(doc["dependent"], "dependent")):
         p = f"dependent[{i}]"
         _require(item, p, ("name", "basis", "constraints"), ("supports",))
-        basis = _basis_from_config(item["basis"], f"{p}.basis")
+        basis = _basis_from_config(item["basis"], f"{p}.basis", names)
         cons = []
-        for j, c in enumerate(item.get("constraints") or ()):
+        for j, c in enumerate(_items(item["constraints"], f"{p}.constraints")):
             cp = f"{p}.constraints[{j}]"
             _require(c, cp, ("dim", "terms", "value"))
-            if c["dim"] not in names:
-                raise ConfigError(f"{cp}.dim: unknown dimension {c['dim']!r}")
-            terms = []
-            for k, t in enumerate(c["terms"]):
-                tp = f"{cp}.terms[{k}]"
-                _require(t, tp, (), ("order", "at", "coeff", "integral",
-                                     "integral_over"))
-                if "at" not in t and "integral" not in t:
-                    raise ConfigError(f"{tp}: needs 'at' or 'integral'")
-                terms.append(dict(t))
+            _dimension(c["dim"], f"{cp}.dim", names)
+            if not _items(c["terms"], f"{cp}.terms"):
+                raise ConfigError(f"{cp}.terms: needs at least one term")
+            terms = [_term(t, f"{cp}.terms[{k}]", names)
+                     for k, t in enumerate(c["terms"])]
             cons.append(ConstraintSpec(c["dim"], tuple(terms),
                                        _expression(c["value"], f"{cp}.value")))
-        supports = {k: tuple(v) for k, v in (item.get("supports") or {}).items()}
+        supports = {k: _integers(v, f"{p}.supports.{k}", 0) for k, v in
+                    _mapping(item.get("supports"), f"{p}.supports",
+                             names).items()}
         deps.append(DependentVar(item["name"], tuple(cons), basis, supports))
 
     residuals = tuple(_expression(r, f"residuals[{i}]")
-                      for i, r in enumerate(doc["residuals"]))
+                      for i, r in enumerate(_items(doc["residuals"],
+                                                   "residuals")))
     params = {k: _number(v, f"params.{k}")
-              for k, v in (doc.get("params") or {}).items()}
+              for k, v in _mapping(doc.get("params"), "params").items()}
     extras = []
-    for i, e in enumerate(doc.get("extras") or ()):
+    for i, e in enumerate(_items(doc.get("extras"), "extras")):
         p = f"extras[{i}]"
         _require(e, p, ("name", "init"), ("lower", "upper"))
+        if not isinstance(e["name"], str):
+            raise ConfigError(f"{p}.name: expected a name, got {e['name']!r}")
         extras.append(ExtraUnknown(
             e["name"], _number(e["init"], f"{p}.init"),
             None if e.get("lower") is None else _number(e["lower"], p),
@@ -162,11 +201,12 @@ def problem_from_config(doc) -> DeProblem:
     if not nlls_tol > 0:
         raise ConfigError(f"solver.nlls_tol: expected a number > 0, "
                           f"got {nlls_tol!r}")
-    analytic = {k: _expression(v, f"analytic.{k}")
-                for k, v in (doc.get("analytic") or {}).items()}
+    analytic = {k: _expression(v, f"analytic.{k}") for k, v in _mapping(
+        doc.get("analytic"), "analytic", [d.name for d in deps],
+        "dependent variable").items()}
     test_points = doc.get("test_points")
     if test_points is not None:
-        test_points = tuple(_integer(c, "test_points", 1) for c in test_points)
+        test_points = _integers(test_points, "test_points", 1)
         if len(test_points) != len(indep):
             raise ConfigError("test_points: one count per independent variable")
 
@@ -187,7 +227,34 @@ def problem_from_config(doc) -> DeProblem:
     )
 
 
-def _basis_from_config(item, path):
+def _term(t, path, names):
+    """One constraint term, checked: a point derivative, an own-dimension
+    integral, or a point derivative integrated over another dimension."""
+    _require(t, path, (), ("order", "at", "coeff", "integral",
+                           "integral_over"))
+    if "at" not in t and "integral" not in t:
+        raise ConfigError(f"{path}: needs 'at' or 'integral'")
+    _number(t.get("coeff", 1.0), f"{path}.coeff")
+    if "integral" in t:
+        _pair(t["integral"], f"{path}.integral")
+    if "at" in t:
+        _number(t["at"], f"{path}.at")
+        order = t.get("order", 0)
+        if isinstance(order, bool) or not isinstance(order, int):
+            # the sign is checked where the operator is built
+            raise ConfigError(f"{path}.order: expected an integer, "
+                              f"got {order!r}")
+    if "integral_over" in t:
+        over = t["integral_over"]
+        if not isinstance(over, (list, tuple)) or len(over) != 3:
+            raise ConfigError(f"{path}.integral_over: expected [dim, lo, hi], "
+                              f"got {over!r}")
+        _dimension(over[0], f"{path}.integral_over", names)
+        _pair(over[1:], f"{path}.integral_over")
+    return dict(t)
+
+
+def _basis_from_config(item, path, names):
     _require(item, path, ("family",),
              ("degree", "removal", "activation", "neurons", "seed",
               "init_range"))
@@ -196,9 +263,15 @@ def _basis_from_config(item, path):
         return ElmSpec(item.get("activation", "tanh"),
                        _integer(item.get("neurons", 100), f"{path}.neurons", 1),
                        _integer(item.get("seed", 0), f"{path}.seed", 0),
-                       tuple(item.get("init_range", (-1.0, 1.0))))
-    removal = {k: (int(v) if isinstance(v, int) else tuple(v))
-               for k, v in (item.get("removal") or {}).items()}
+                       _pair(item.get("init_range", [-1.0, 1.0]),
+                             f"{path}.init_range"))
+    removal = {}
+    for k, v in _mapping(item.get("removal"), f"{path}.removal",
+                         names).items():
+        # -1 keeps every index, k drops the first k, a list drops those
+        vp = f"{path}.removal.{k}"
+        removal[k] = _integers(v, vp, 0) if isinstance(v, (list, tuple)) \
+            else _integer(v, vp, -1)
     return BasisSpec(family, _integer(item.get("degree", 10), f"{path}.degree", 0),
                      removal)
 
@@ -456,15 +529,23 @@ def cmd_solve(config_path, out_path, fmt):
 def cmd_bench(suite, out_path, seeds):
     """Run a benchmark suite and emit its result table."""
     try:
-        lo, hi = (int(s) for s in seeds.split(".."))
-        rows = run_suite(suite, range(lo, hi + 1))
-    except KeyError as err:
+        rows = run_suite(suite, _seed_range(seeds))
+    except (KeyError, ConfigError) as err:
         click.echo(f"error: {err.args[0]}", err=True)
         sys.exit(1)
     table = [RESULT_COLUMNS] + [[r.get(k) for k in RESULT_COLUMNS]
                                 for r in rows]
     _emit(_csv(table), out_path)
     sys.exit(0)
+
+
+def _seed_range(text):
+    """The seeds of ``--seeds lo..hi``, both ends included."""
+    lo, sep, hi = text.partition("..")
+    if not (sep and lo.isdigit() and hi.isdigit() and int(lo) <= int(hi)):
+        raise ConfigError(f"--seeds: expected lo..hi with integers "
+                         f"0 <= lo <= hi, got {text!r}")
+    return range(int(lo), int(hi) + 1)
 
 
 @main.command("plotdata")

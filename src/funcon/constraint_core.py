@@ -8,14 +8,23 @@ expression is
 
     y(x, g) = g(x) + sum_j phi_j(x) * (kappa_j - C_j[g]).
 
-Everything here evaluates in an *affine-in-xi* representation: an evaluation
-of a field at N points returns rows (N, width), an offset (N,), and the
-offset's gradients with respect to named scalar extras.  The expression is
-one linear map for any free function g: around a ``FeatureField`` h(x)^T xi
-its rows serve least-squares assembly; around a zero-width ``CallableField``
-the offset holds plain values (the kappa terms for g = 0, the solution for a
-solved h(x)^T xi).  Built expressions are immutable and evaluation is
-reentrant.
+One routine, ``apply_operator_columns``, applies an operator to an
+evaluable f(x, d) -> (n, cols) along its own variable; support matrices,
+scalar probes (``apply_operator``) and the operators applied to a basis
+table (C[T], for projected-table assembly) all go through it.
+
+Fields evaluate in an *affine-in-xi* representation: an evaluation of a
+field at N points returns rows (N, width), an offset (N,), and the offset's
+gradients with respect to named scalar extras.  The expression is one
+linear map for any free function g: around a ``FeatureField`` h(x)^T xi its
+rows are coefficient rows; around a zero-width ``CallableField`` the offset
+holds plain values (the kappa terms for g = 0, the solution for a solved
+h(x)^T xi).  A ``separable`` CE (no augmentation rows, foreign integrals or
+component kappas) acts on functions of its own variable alone, so around a
+tensor-product basis its coefficient rows come from the projected 1-D table
+T - phi (C T) (see ``basis.TensorFeature``); the recursive ``CEField`` is
+the general route and the fallback for the other cases.  Built expressions
+are immutable and evaluation is reentrant.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ __all__ = [
     "support_matrix",
     "solve_switching",
     "apply_operator",
+    "apply_operator_columns",
     "projection_value",
     "evaluate_ce",
     "AffineEval",
@@ -116,30 +126,48 @@ class ConstraintOperator:
     specs: tuple
 
     def __init__(self, specs):
-        object.__setattr__(self, "specs", tuple(specs))
+        specs = tuple(specs)
+        if not specs:
+            raise ValueError("a constraint operator needs at least one term")
+        object.__setattr__(self, "specs", specs)
+
+
+def apply_operator_columns(op: ConstraintOperator, f, integral=None):
+    """C[f_c] for every column c of an evaluable along the operator's own
+    variable: ``f(x, d)`` gives the d-th derivatives at the points ``x``,
+    shape (len(x), cols).  Definite integrals use ``integral(a, b)`` (one
+    value per column) when given and 64-node Gauss-Legendre quadrature
+    otherwise.  Foreign integrals scale by the interval length, since f has
+    no other variables.  Returns shape (cols,)."""
+    total = 0.0
+    for s in op.specs:
+        if isinstance(s, PointDeriv):
+            val = s.coeff * f(np.array([s.location]), s.order)[0]
+            for _, lo, hi in s.foreign:
+                val *= hi - lo
+            total = total + val
+        elif integral is not None:
+            total = total + s.coeff * integral(s.lower, s.upper)
+        else:
+            x, w = gauss_legendre(s.lower, s.upper)
+            total = total + s.coeff * (w @ f(x, 0))
+    return total
 
 
 def apply_operator(op: ConstraintOperator, f) -> float:
     """Apply a constraint operator to a univariate evaluable.
 
     ``f`` must provide ``deriv(x, d)``; definite integrals use ``f.integral(a, b)``
-    when available and 64-node Gauss-Legendre quadrature otherwise.  Foreign
-    integrals just scale by the interval length since f has no other variables.
+    when available and 64-node Gauss-Legendre quadrature otherwise.
     """
-    total = 0.0
-    for s in op.specs:
-        if isinstance(s, PointDeriv):
-            val = s.coeff * f.deriv(s.location, s.order)
-            for _, lo, hi in s.foreign:
-                val *= hi - lo
-            total += val
-        else:
-            if hasattr(f, "integral"):
-                total += s.coeff * f.integral(s.lower, s.upper)
-            else:
-                x, w = gauss_legendre(s.lower, s.upper)
-                total += s.coeff * float(np.dot(w, [f.deriv(t, 0) for t in x]))
-    return total
+    def column(x, d):
+        return np.array([[f.deriv(t, d)] for t in x.tolist()], dtype=float)
+
+    integral = None
+    if hasattr(f, "integral"):
+        def integral(a, b):
+            return np.array([f.integral(a, b)], dtype=float)
+    return float(apply_operator_columns(op, column, integral)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -283,35 +311,22 @@ class MonomialSupports:
         p = self.powers[j]
         return (b ** (p + 1) - a ** (p + 1)) / (p + 1)
 
+    def integrals(self, a, b):
+        """Exact integral of every support function over [a, b]."""
+        return np.array([self.integral(j, a, b) for j in range(len(self))])
+
     def table(self, x, d):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return np.column_stack([self.deriv(x, j, d) for j in range(len(self))])
-
-
-def _operator_row(op: ConstraintOperator, supports: MonomialSupports):
-    row = np.zeros(len(supports))
-    for j in range(len(supports)):
-        total = 0.0
-        for s in op.specs:
-            if isinstance(s, PointDeriv):
-                val = s.coeff * float(supports.deriv(s.location, j, s.order))
-                for _, lo, hi in s.foreign:
-                    val *= hi - lo
-                total += val
-            else:
-                total += s.coeff * supports.integral(j, s.lower, s.upper)
-        row[j] = total
-    return row
 
 
 def support_matrix(constraints, supports: MonomialSupports,
                    extra_conditions=()) -> np.ndarray:
     """S_ij = C_i[s_j]; extra integral-augmentation conditions are stacked as
     additional rows (each a plain definite integral over this dimension)."""
-    rows = [_operator_row(c.operator, supports) for c in constraints]
-    for lo, hi in extra_conditions:
-        rows.append(np.array([supports.integral(j, lo, hi)
-                              for j in range(len(supports))]))
+    rows = [apply_operator_columns(c.operator, supports.table,
+                                   supports.integrals) for c in constraints]
+    rows += [supports.integrals(lo, hi) for lo, hi in extra_conditions]
     return np.vstack(rows)
 
 
@@ -346,6 +361,19 @@ class UnivariateCE:
     def switching(self, x, d=0) -> np.ndarray:
         """phi_j^(d)(x) for all j, shape (npoints, nconstraints)."""
         return self.supports.table(x, d) @ self.alpha
+
+    @property
+    def separable(self) -> bool:
+        """Whether the CE maps every function of its own variable alone to
+        one: no augmentation rows, no foreign integrals and no component
+        kappa (the only kappa with coefficient rows).  Around a tensor
+        product it then acts on one factor, as the projection
+        P T = T - phi (C[T]) of that factor's table."""
+        return not self.extra_conditions and not any(
+            isinstance(c.kappa, ComponentKappa)
+            or any(isinstance(s, PointDeriv) and s.foreign
+                   for s in c.operator.specs)
+            for c in self.constraints)
 
     def kronecker_defect(self) -> float:
         """max |C_i[phi_j] - delta_ij| over the native constraints."""

@@ -19,11 +19,18 @@ appends one constraint row per boundary training point, on the linear and
 the Gauss-Newton path alike.
 
 Each dependent variable's processed univariate CEs (``ProblemBuild.ces``)
-compose around the free function a caller holds: h(x)^T xi for the
-coefficient rows, evaluated once per grid; zero for the kappa offsets,
-once per Gauss-Newton iterate; the solved h(x)^T xi for solution values,
-which the feature's ``values`` gives without building rows (a tensor
-feature contracts xi with its 1-D tables one dimension at a time).
+compose around the free function a caller holds: zero for the kappa
+offsets, once per Gauss-Newton iterate; the solved h(x)^T xi for solution
+values, which the feature's ``values`` gives without building rows (a
+tensor feature contracts xi with its 1-D tables one dimension at a time).
+Coefficient rows are evaluated once per grid.  When every CE of a
+tensor-feature variable is separable (point and own-dimension integral
+constraints, constant or expression kappas), the build applies each
+dimension's operators to its full 1-D basis table once, C[T], and the rows
+are products of the projected tables T - phi (C T) at the retained
+multi-indices (``ProblemBuild.projections``); spectral mode, with no CE,
+takes the plain tables.  ELM features, foreign integrals and component
+kappas take the recursive CE around h(x)^T xi.
 """
 
 from __future__ import annotations
@@ -42,9 +49,11 @@ from funcon.basis import (
     ElmFeature,
     TensorFeature,
     cgl_nodes,
+    eval_basis,
     uniform_nodes,
 )
 from funcon.constraint_core import (
+    AffineEval,
     CallableField,
     Constraint,
     ConstraintOperator,
@@ -58,6 +67,7 @@ from funcon.constraint_core import (
     _ae_add,
     _ae_scale,
     _apply_op_to_field,
+    apply_operator_columns,
     as_kappa,
 )
 from funcon.exprfn import Expr
@@ -232,6 +242,9 @@ class ProblemBuild:
         zero = CallableField(lambda pts, orders: np.zeros(len(pts)),
                              self.var_names, problem.params)
         self.ces, self.fields, self.offsets = {}, {}, {}
+        # the dependent variables whose rows come from projected 1-D tables:
+        # name -> {dim: (ce, C[T])}, T that dimension's full basis table
+        self.projections = {}
         for dep in problem.dependent:
             supports = {self.dim_index[d]: MonomialSupports(p)
                         for d, p in dep.supports.items()}
@@ -243,6 +256,12 @@ class ProblemBuild:
             self.fields[dep.name] = self.compose(dep.name, FeatureField(
                 self.ctx, features[dep.name], self.layout.slice_of(dep.name)))
             self.offsets[dep.name] = self.compose(dep.name, zero)
+            feature = features[dep.name]
+            if isinstance(feature, TensorFeature) and all(
+                    ce.separable for ce in self.ces[dep.name]):
+                self.projections[dep.name] = {
+                    ce.dim: (ce, _operators_on_table(ce, feature))
+                    for ce in self.ces[dep.name]}
 
         self._residuals = tuple(_as_expr(r) for r in problem.residuals)
         self._tags = self._collect_tags()
@@ -354,8 +373,25 @@ class ProblemBuild:
         return used, gates
 
     def partial_evals(self, pts, extras):
-        """Coefficient rows, offset and extras gradients per partial tag."""
-        return self._tag_evals(self.fields, pts, extras)
+        """Coefficient rows, offset and extras gradients per partial tag.
+
+        A dependent variable in ``projections`` takes its rows from the
+        tensor feature's projected 1-D tables and its offset and gradients
+        from the CE of the zero function, which carries every kappa term.
+        The others (ELM features, foreign integrals, component kappas)
+        evaluate the recursive CE around h(x)^T xi."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        out = {}
+        for tag, (base, orders) in self._tags.items():
+            if base not in self.projections:
+                out[tag] = self.fields[base].eval(pts, orders, extras)
+                continue
+            off = self.offsets[base].eval(pts, orders, extras)
+            rows = np.zeros((pts.shape[0], self.layout.width))
+            rows[:, self.layout.slice_of(base)] = self.features[base].eval(
+                pts, orders, projection=self.projections[base])
+            out[tag] = AffineEval(rows, off.offset, off.grads)
+        return out
 
     def _tag_evals(self, fields, pts, extras):
         return {tag: fields[base].eval(pts, orders, extras)
@@ -412,6 +448,19 @@ class ProblemBuild:
         truth = exprfn.evaluate(_as_expr(expr), self.base_bindings(pts, extras))
         return pred, np.broadcast_to(np.asarray(truth, dtype=float),
                                      (pts.shape[0],))
+
+
+def _operators_on_table(ce, feature):
+    """C_j[T_i] for the full 1-D basis table T of ``feature`` along ce.dim,
+    shape (constraints, degree + 1); integrals by Gauss-Legendre
+    quadrature, as the recursive CE takes them."""
+    fam, dmap = feature.families[ce.dim], feature.maps[ce.dim]
+
+    def table(x, d):
+        return eval_basis(fam, dmap, x, d, full=True)
+
+    return np.vstack([apply_operator_columns(c.operator, table)
+                      for c in ce.constraints])
 
 
 def _mesh(axes):

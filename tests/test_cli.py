@@ -183,6 +183,34 @@ def _duplicate_constraint(doc):
     (_basis(family="elm", seed=-1), ("config error", "dependent[0].basis.seed")),
     (lambda doc: doc.update(test_points=[25, 2.5]),
      ("config error", "test_points", "2.5")),
+    # malformed shapes and unknown dimensions, each once a traceback or,
+    # for the removal of an undeclared dimension, silently accepted
+    (lambda doc: doc["independent"][0].update(interval=[0, 0.5, 1]),
+     ("config error", "independent[0].interval", "[lo, hi]")),
+    (lambda doc: doc["independent"][0].update(interval=5),
+     ("config error", "independent[0].interval", "5")),
+    (_basis(removal={"x": 3.5}),
+     ("config error", "dependent[0].basis.removal.x", "3.5")),
+    (_basis(removal={"z": 1}),
+     ("config error", "dependent[0].basis.removal.z", "unknown dimension")),
+    (lambda doc: doc["dependent"][0].update(supports={"x": 3}),
+     ("config error", "dependent[0].supports.x", "3")),
+    (lambda doc: doc["dependent"][0].update(supports={"q": [0, 1]}),
+     ("config error", "dependent[0].supports.q", "unknown dimension")),
+    (_basis(family="elm", init_range=3),
+     ("config error", "dependent[0].basis.init_range", "3")),
+    (_first_constraint(terms=3),
+     ("config error", "dependent[0].constraints[0].terms", "3")),
+    (_first_constraint(terms=[{"order": 0, "at": 0.0,
+                               "integral_over": ["q", 0, 1]}]),
+     ("config error", "dependent[0].constraints[0].terms[0].integral_over",
+      "unknown dimension 'q'")),
+    (lambda doc: doc.update(analytic={"q": "1"}),
+     ("config error", "analytic.q", "unknown dependent variable")),
+    (lambda doc: doc.update(analytic=[1]), ("config error", "analytic")),
+    (lambda doc: doc.update(params=[1]), ("config error", "params")),
+    (lambda doc: doc.update(extras=[{"name": 3, "init": 0.0}]),
+     ("config error", "extras[0].name", "3")),
 ])
 def test_problem_errors_named_without_traceback(tmp_path, runner, edit,
                                                 fragments):
@@ -191,6 +219,14 @@ def test_problem_errors_named_without_traceback(tmp_path, runner, edit,
     cfg = _write(tmp_path, yaml.safe_dump(doc))
     _assert_named_exit_1(runner.invoke(cli.main, ["solve", "--config", cfg]),
                          *fragments)
+
+
+@pytest.mark.parametrize("seeds", ["abc", "5", "3..1", "-1..2"])
+def test_bench_bad_seeds_named_without_traceback(runner, seeds):
+    _assert_named_exit_1(
+        runner.invoke(cli.main, ["bench", "--suite", "wave1d",
+                                 "--seeds", seeds]),
+        "error: --seeds", repr(seeds))
 
 
 def test_config_round_trip():

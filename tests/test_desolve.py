@@ -7,10 +7,12 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import funcon
+from funcon import basis as B
+from funcon import constraint_core as C
 from funcon import desolve as D
 from funcon import exprfn as E
 from funcon import problems as P
@@ -253,6 +255,201 @@ def test_assembly_equals_fresh_partial_evaluations(name):
         np.testing.assert_array_equal(jacobian(q), want_jac)
 
     check()
+
+
+_FAMILIES = ("chebyshev", "legendre", "laguerre", "hermite-prob",
+             "hermite-phys", "fourier")
+# collocation windows for the families with infinite native domains
+_WINDOWS = {"laguerre": (0.0, 4.0), "hermite-prob": (-2.0, 2.0),
+            "hermite-phys": (-2.0, 2.0)}
+
+
+def _finite(lo, hi):
+    # no subnormal numbers: the rounding bound below is relative, and a
+    # subnormal result has less than double precision
+    return st.floats(lo, hi, allow_subnormal=False)
+
+
+@st.composite
+def _separable_problems(draw):
+    """A random problem whose constrained expression acts on each dimension
+    alone: 1-3 dimensions, 1-3 constraints on each mixing value, derivative,
+    relative (two-point) and own-dimension integral terms, constant or
+    expression kappas, custom supports on one dimension, and a residual
+    that mentions 1-3 partial tags of orders 0-3.  Integral terms sit on
+    one dimension only, which bounds the recursive reference's quadrature
+    work.  Returns (problem, points)."""
+    dims = draw(st.integers(1, 3))
+    names = "xyz"[:dims]
+    family = draw(st.sampled_from(_FAMILIES))
+    integral_dim = draw(st.integers(0, dims - 1))
+    independent, constraints, supports = [], [], {}
+    for k, name in enumerate(names):
+        lo = draw(_finite(-2.0, 0.0))
+        hi = lo + draw(_finite(0.5, 3.0))
+        independent.append(D.IndependentVar(name, (lo, hi), 5))
+        at = _finite(lo, hi)
+        coeff = _finite(0.5, 2.0) | _finite(-2.0, -0.5)
+        kinds = ["value", "derivative", "relative"]
+        if k == integral_dim:
+            kinds.append("integral")
+        count = draw(st.integers(1, 3))
+        for _ in range(count):
+            kind = draw(st.sampled_from(kinds))
+            if kind == "value":
+                terms = ({"order": 0, "at": draw(at)},)
+            elif kind == "derivative":
+                terms = ({"order": draw(st.integers(1, 2)), "at": draw(at),
+                          "coeff": draw(coeff)},)
+            elif kind == "relative":
+                terms = ({"order": 0, "at": draw(at)},
+                         {"order": 0, "at": draw(at), "coeff": -1.0})
+            else:
+                a, b = sorted((draw(at), draw(at)))
+                assume(b - a > 0.05)
+                terms = ({"integral": [a, b], "coeff": draw(coeff)},)
+                if draw(st.booleans()):  # with a point term in one operator
+                    terms += ({"order": 0, "at": draw(at)},)
+            others = [n for n in names if n != name]
+            value = draw(_finite(-2.0, 2.0))
+            if others and draw(st.booleans()):
+                o = draw(st.sampled_from(others))
+                value = f"{value!r}*{o}^2 + sin({o})"
+            constraints.append(D.ConstraintSpec(name, terms, value))
+        if draw(st.booleans()) and not supports:
+            supports[name] = tuple(sorted(draw(st.lists(
+                st.integers(0, count + 2), min_size=count, max_size=count,
+                unique=True))))
+    tags = draw(st.lists(st.tuples(*[st.integers(0, 3)] * dims),
+                         min_size=1, max_size=3, unique=True))
+    residual = " + ".join(
+        "u" + ("_" + "".join(n * o for n, o in zip(names, orders))
+               if any(orders) else "") for orders in tags)
+    problem = D.DeProblem(
+        name="separable", independent=tuple(independent),
+        dependent=(D.DependentVar(
+            "u", tuple(constraints),
+            D.BasisSpec(family, draw(st.integers(2, 8)),
+                        window={n: _WINDOWS[family] for n in names}
+                        if family in _WINDOWS else {}),
+            supports),),
+        residuals=(residual,))
+    # a mesh of 2-3 random coordinates per dimension: repeated coordinates
+    axes = [draw(st.lists(_finite(*v.interval), min_size=2, max_size=3))
+            for v in independent]
+    return problem, D._mesh([np.array(a) for a in axes])
+
+
+def _absolute_rows(bld, pts, orders):
+    """The projected rows' expression in absolute values: per dimension
+    |T| + (|S| |alpha|) (|C| |T|), with |C| the operator with absolute
+    coefficients, multiplied over the dimensions at the retained indices."""
+    feature = bld.features["u"]
+    out = np.ones((pts.shape[0], feature.count))
+    for k, (fam, dmap) in enumerate(zip(feature.families, feature.maps)):
+        def table(x, d):
+            return np.abs(B.eval_basis(fam, dmap, x, d, full=True))
+
+        tab = table(pts[:, k], orders[k])
+        if k in bld.projections["u"]:
+            ce, _ = bld.projections["u"][k]
+            applied = np.vstack([C.apply_operator_columns(C.ConstraintOperator(
+                [dataclasses.replace(s, coeff=abs(s.coeff))
+                 for s in c.operator.specs]), table) for c in ce.constraints])
+            switching = np.abs(ce.supports.table(pts[:, k], orders[k])) \
+                @ np.abs(ce.alpha)
+            tab = tab + switching @ applied
+        out *= tab[:, feature._idx[:, k]]
+    return out
+
+
+@given(_separable_problems())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+def test_projected_rows_equal_recursive_rows(drawn):
+    # Both paths evaluate one multilinear expression in different orders.
+    # Per dimension, C[T] sums at most two specs of at most 64 quadrature
+    # products each (the recursive path accumulates the same products over
+    # (n, width) arrays), phi is a sum of at most 3 support products and
+    # the projection adds at most 3 products to T: by the standard
+    # summation bound each path is within (2*64 + 3 + 3 + 3 + 1) eps = 138
+    # eps of the expression in absolute values per dimension, and the row
+    # multiplies d <= 3 factors.  So |projected - recursive| <=
+    # 2 * d * (138 + 1) * (eps |R| + tiny), R from ``_absolute_rows``; the
+    # smallest normal number ``tiny`` covers products that underflow.
+    # Offsets and gradients come from the same CE of the zero function:
+    # equal exactly.
+    problem, pts = drawn
+    try:
+        bld = D.ProblemBuild(problem)
+    except C.SingularSupportError:
+        assume(False)
+    assert "u" in bld.projections
+    gamma = 2 * len(bld.var_names) * 139
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    evals = bld.partial_evals(pts, {})
+    for tag, (base, orders) in bld._tags.items():
+        want = bld.fields[base].eval(pts, orders, {})
+        got = evals[tag]
+        assert got.rows.shape == want.rows.shape
+        bound = gamma * (eps * _absolute_rows(bld, pts, orders) + tiny)
+        assert np.all(np.abs(got.rows - want.rows) <= bound)
+        np.testing.assert_array_equal(got.offset, want.offset)
+        assert got.grads.keys() == want.grads.keys()
+        for name in want.grads:
+            np.testing.assert_array_equal(got.grads[name], want.grads[name])
+
+
+def _foreign_integral_problem():
+    """simple-pde whose x = 1 condition holds on average over y."""
+    base = P.simple_pde(8, 6)
+    (dep,) = base.dependent
+    cons = list(dep.constraints)
+    cons[1] = D.ConstraintSpec(
+        "x", ({"order": 0, "at": 1.0, "integral_over": ["y", 0.0, 1.0]},),
+        1.0)
+    return dataclasses.replace(
+        base, dependent=(dataclasses.replace(dep, constraints=tuple(cons)),))
+
+
+def _component_kappa_problem():
+    """Two variables on simple-pde's grid: v(x, 0) = 1 - u(x, 0/2) through
+    a component kappa that references u's constrained expression."""
+    base = P.simple_pde(8, 6)
+    (dep,) = base.dependent
+
+    def make(ref):
+        v_cons = (D.ConstraintSpec("x", ({"order": 0, "at": 0.0},), 0.0),
+                  D.ConstraintSpec("y", ({"order": 0, "at": 0.0},), ref))
+        return dataclasses.replace(
+            base, residuals=base.residuals + ("v_xx + v_yy",),
+            dependent=(dep, D.DependentVar("v", v_cons, dep.basis)))
+
+    # the referenced field must share the build's layout, which the
+    # constraint values do not change
+    u = D.ProblemBuild(make(0.0)).fields["u"]
+    return make(C.ComponentKappa(1.0, ((1.0, u, {1: (0, 0.5)}),)))
+
+
+@pytest.mark.parametrize("make,recursive", [
+    (lambda: P.simple_pde_xtfc(8, neurons=30, seed=1), "u"),
+    (_foreign_integral_problem, "u"),
+    (_component_kappa_problem, "v"),
+])
+def test_recursive_rows_where_no_projection_applies(make, recursive):
+    # ELM features, foreign integrals and component kappas keep the
+    # recursive CE: their rows are exactly those of ``fields``
+    bld = D.ProblemBuild(make())
+    assert recursive not in bld.projections
+    pts = bld.grid()
+    evals = bld.partial_evals(pts, {})
+    for tag, (base, orders) in bld._tags.items():
+        if base != recursive:
+            continue
+        want = bld.fields[base].eval(pts, orders, {})
+        np.testing.assert_array_equal(evals[tag].rows, want.rows)
+        np.testing.assert_array_equal(evals[tag].offset, want.offset)
 
 
 def test_nonlinear_jacobian_matches_finite_differences():
