@@ -128,6 +128,15 @@ def load_config(path_or_stream):
         return yaml.safe_load(fh)
 
 
+def _claim(taken, name, path):
+    """Record ``name`` as declared at ``path``: independent variables,
+    dependent variables, params and extras share one namespace."""
+    if name in taken:
+        raise ConfigError(f"{path}: name {name!r} is already declared at "
+                          f"{taken[name]}")
+    taken[name] = path
+
+
 def problem_from_config(doc) -> DeProblem:
     """Validate a parsed config document and build the DeProblem."""
     _require(doc, "config",
@@ -136,6 +145,7 @@ def problem_from_config(doc) -> DeProblem:
                        "test_points", "seed"))
     indep = []
     names = []
+    taken = {}
     for i, item in enumerate(_items(doc["independent"], "independent")):
         p = f"independent[{i}]"
         _require(item, p, ("name", "interval", "points"), ("spacing",))
@@ -148,6 +158,7 @@ def problem_from_config(doc) -> DeProblem:
         spacing = item.get("spacing", "cgl")
         if spacing not in ("cgl", "uniform"):
             raise ConfigError(f"{p}.spacing: must be 'cgl' or 'uniform'")
+        _claim(taken, name, f"{p}.name")
         indep.append(IndependentVar(
             name, (lo, hi), _integer(item["points"], f"{p}.points", 2), spacing))
         names.append(name)
@@ -156,6 +167,10 @@ def problem_from_config(doc) -> DeProblem:
     for i, item in enumerate(_items(doc["dependent"], "dependent")):
         p = f"dependent[{i}]"
         _require(item, p, ("name", "basis", "constraints"), ("supports",))
+        if not isinstance(item["name"], str):
+            raise ConfigError(f"{p}.name: expected a name, "
+                              f"got {item['name']!r}")
+        _claim(taken, item["name"], f"{p}.name")
         basis = _basis_from_config(item["basis"], f"{p}.basis", names)
         cons = []
         for j, c in enumerate(_items(item["constraints"], f"{p}.constraints")):
@@ -176,14 +191,17 @@ def problem_from_config(doc) -> DeProblem:
     residuals = tuple(_expression(r, f"residuals[{i}]")
                       for i, r in enumerate(_items(doc["residuals"],
                                                    "residuals")))
-    params = {k: _number(v, f"params.{k}")
-              for k, v in _mapping(doc.get("params"), "params").items()}
+    params = {}
+    for k, v in _mapping(doc.get("params"), "params").items():
+        _claim(taken, k, f"params.{k}")
+        params[k] = _number(v, f"params.{k}")
     extras = []
     for i, e in enumerate(_items(doc.get("extras"), "extras")):
         p = f"extras[{i}]"
         _require(e, p, ("name", "init"), ("lower", "upper"))
         if not isinstance(e["name"], str):
             raise ConfigError(f"{p}.name: expected a name, got {e['name']!r}")
+        _claim(taken, e["name"], f"{p}.name")
         extras.append(ExtraUnknown(
             e["name"], _number(e["init"], f"{p}.init"),
             None if e.get("lower") is None else _number(e["lower"], p),

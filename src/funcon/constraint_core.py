@@ -25,6 +25,12 @@ tensor-product basis its coefficient rows come from the projected 1-D table
 T - phi (C T) (see ``basis.TensorFeature``); the recursive ``CEField`` is
 the general route and the fallback for the other cases.  Built expressions
 are immutable and evaluation is reentrant.
+
+The recursive route applies each operator C_j (along x_k) to the inner
+field at the distinct points of the other coordinates only: rho_j =
+kappa_j - C_j[g] is constant in x_k, so on a grid with n_k nodes along x_k
+the inner field is evaluated at n / n_k points per term and quadrature
+node, and the results are gathered back to every row.
 """
 
 from __future__ import annotations
@@ -191,13 +197,24 @@ class ExprKappa:
     and fixed parameters."""
 
     expr: Expr
+    # ((variable, order), ...) -> (derivative, its free variables)
+    _dcache: dict = dc_field(default_factory=dict, init=False, repr=False,
+                             compare=False)
+
+    def _partial(self, key):
+        """The expression differentiated by each (variable, order) of
+        ``key`` in turn, with its free variables; derived once per key."""
+        if key not in self._dcache:
+            e = self.expr
+            for name, d in key:
+                e = exprfn.differentiate(e, name, d)
+            self._dcache[key] = (e, exprfn.free_variables(e))
+        return self._dcache[key]
 
     def eval(self, ctx, pts, orders, extras):
         n = pts.shape[0]
-        e = self.expr
-        for name, d in zip(ctx.var_names, orders):
-            if d:
-                e = exprfn.differentiate(e, name, d)
+        key = tuple((name, d) for name, d in zip(ctx.var_names, orders) if d)
+        e, present = self._partial(key)
         bindings = dict(ctx.params)
         for j, name in enumerate(ctx.var_names):
             bindings[name] = pts[:, j]
@@ -207,10 +224,9 @@ class ExprKappa:
                               (n,)).copy()
         grads = {}
         if extras:
-            present = exprfn.free_variables(e)
             for name in extras:
                 if name in present:
-                    ge = exprfn.differentiate(e, name, 1)
+                    ge, _ = self._partial(key + ((name, 1),))
                     grads[name] = np.broadcast_to(
                         np.asarray(exprfn.evaluate(ge, bindings), dtype=float),
                         (n,)).copy()
@@ -223,11 +239,16 @@ class BranchKappa:
     current extras is used, with symbolic partials of that branch."""
 
     branches: tuple  # ((predicate(extras) -> bool, Expr), ...)
+    _kappas: tuple = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_kappas", tuple(
+            ExprKappa(expr) for _, expr in self.branches))
 
     def eval(self, ctx, pts, orders, extras):
-        for pred, expr in self.branches:
+        for (pred, _), kappa in zip(self.branches, self._kappas):
             if pred(extras or {}):
-                return ExprKappa(expr).eval(ctx, pts, orders, extras)
+                return kappa.eval(ctx, pts, orders, extras)
         raise ValueError("no kappa branch matched the current extras")
 
 
@@ -238,12 +259,14 @@ class ComponentKappa:
 
     base: object  # Expr or float
     refs: tuple
+    _base: object = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_base", ExprKappa(self.base) if isinstance(
+            self.base, Expr) else ConstKappa(float(self.base)))
 
     def eval(self, ctx, pts, orders, extras):
-        if isinstance(self.base, Expr):
-            out = ExprKappa(self.base).eval(ctx, pts, orders, extras)
-        else:
-            out = ConstKappa(float(self.base)).eval(ctx, pts, orders, extras)
+        out = self._base.eval(ctx, pts, orders, extras)
         for coeff, other, fixed in self.refs:
             if any(orders[j] for j in fixed):
                 continue  # constant along fixed dims once sliced
@@ -501,10 +524,11 @@ class ExprField(Field):
     def __init__(self, expr: Expr, var_names, params=None, width=0):
         super().__init__(FieldContext(tuple(var_names), width, dict(params or {})))
         self.expr = expr
+        self._kappa = ExprKappa(expr)
 
     def eval(self, pts, orders, extras=None):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return ExprKappa(self.expr).eval(self.ctx, pts, orders, extras)
+        return self._kappa.eval(self.ctx, pts, orders, extras)
 
 
 class CallableField(Field):
@@ -521,11 +545,38 @@ class CallableField(Field):
         return AffineEval(np.zeros((pts.shape[0], self.width)), off, {})
 
 
+def _distinct_rows(pts, k):
+    """(first, inverse): indices of one row per distinct point of ``pts``
+    with column k ignored, and the index of each row's distinct point, so
+    ``pts[first][inverse]`` equals ``pts`` outside column k.  Coordinates
+    compare by their bits (0.0 and -0.0 differ).  The integer code of a row
+    is built one column at a time from that column's 1-D ``np.unique`` and
+    renumbered after each column, so it stays below n squared."""
+    n = pts.shape[0]
+    first, code = np.arange(min(n, 1)), np.zeros(n, dtype=np.int64)
+    for j in range(pts.shape[1]):
+        if j != k:
+            values, col = np.unique(pts[:, j].view(np.int64),
+                                    return_inverse=True)
+            _, first, code = np.unique(code * len(values) + col,
+                                       return_index=True, return_inverse=True)
+    return first, code
+
+
 def _apply_op_to_field(op: ConstraintOperator, inner: Field, pts, orders, k,
                        extras) -> AffineEval:
     """C^k_j applied to a multivariate field, with cross-derivative orders for
     the other dimensions carried through (the own-dimension order is set by
-    each spec; the result is constant in x_k)."""
+    each spec; the result is constant in x_k).
+
+    Being constant in x_k, the result is computed once per distinct point of
+    the other coordinates and gathered back to every row: on a grid of n
+    points with n_k nodes along x_k the inner field is evaluated at n / n_k
+    points per spec and quadrature node, not at n."""
+    first, inverse = _distinct_rows(pts, k)
+    repeated = len(first) < pts.shape[0]
+    if repeated:
+        pts = pts[first]
     n = pts.shape[0]
     out = _zero(n, inner.width)
     for s in op.specs:
@@ -552,6 +603,9 @@ def _apply_op_to_field(op: ConstraintOperator, inner: Field, pts, orders, k,
                 acc = _ae_add(acc, _ae_scale(
                     inner.eval(pts2, tuple(orders2), extras), wt))
             out = _ae_add(out, _ae_scale(acc, s.coeff))
+    if repeated:
+        out = AffineEval(out.rows[inverse], out.offset[inverse],
+                         {name: g[inverse] for name, g in out.grads.items()})
     return out
 
 

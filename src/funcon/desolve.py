@@ -69,6 +69,7 @@ from funcon.constraint_core import (
     _apply_op_to_field,
     apply_operator_columns,
     as_kappa,
+    gauss_legendre,
 )
 from funcon.exprfn import Expr
 from funcon.solvers import NllsConfig, lstsq, nlls
@@ -183,6 +184,20 @@ class DeProblem:
     nlls_max_iter: int = 50
     analytic: dict = dc_field(default_factory=dict)  # dep name -> expression
     test_points: tuple = None  # per-dim counts, uniform; None disables errors
+
+    def __post_init__(self):
+        # one namespace: residuals, kappas and reports look names up in it
+        kinds = {}
+        for kind, names in (
+                ("independent variable", [v.name for v in self.independent]),
+                ("dependent variable", [d.name for d in self.dependent]),
+                ("param", list(self.params)),
+                ("extra", [e.name for e in self.extras])):
+            for name in names:
+                if name in kinds:
+                    raise ValueError(f"name {name!r} is declared as "
+                                     f"{kinds[name]} and as {kind}")
+                kinds[name] = kind
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +468,28 @@ class ProblemBuild:
 def _operators_on_table(ce, feature):
     """C_j[T_i] for the full 1-D basis table T of ``feature`` along ce.dim,
     shape (constraints, degree + 1); integrals by Gauss-Legendre
-    quadrature, as the recursive CE takes them."""
+    quadrature, as the recursive CE takes them.  The table is evaluated
+    once per derivative order, at every location and quadrature node of
+    that order (the recurrences act on each point alone)."""
     fam, dmap = feature.families[ce.dim], feature.maps[ce.dim]
+    wanted = {}  # derivative order -> points
+    for c in ce.constraints:
+        for s in c.operator.specs:
+            if isinstance(s, PointDeriv):
+                wanted.setdefault(s.order, []).append(s.location)
+            else:
+                wanted.setdefault(0, []).extend(
+                    gauss_legendre(s.lower, s.upper)[0])
+    tables = {}
+    for d, x in wanted.items():
+        x = np.array(x, dtype=float)
+        # keyed by the bits of each point, so 0.0 and -0.0 stay apart
+        tables[d] = ({t.hex(): i for i, t in enumerate(x.tolist())},
+                     eval_basis(fam, dmap, x, d, full=True))
 
     def table(x, d):
-        return eval_basis(fam, dmap, x, d, full=True)
+        index, rows = tables[d]
+        return rows[[index[t.hex()] for t in x.tolist()]]
 
     return np.vstack([apply_operator_columns(c.operator, table)
                       for c in ce.constraints])

@@ -211,6 +211,21 @@ def _duplicate_constraint(doc):
     (lambda doc: doc.update(params=[1]), ("config error", "params")),
     (lambda doc: doc.update(extras=[{"name": 3, "init": 0.0}]),
      ("config error", "extras[0].name", "3")),
+    # independent variables, dependent variables, params and extras share
+    # one namespace; each collision was once accepted with exit 0
+    (lambda doc: doc.update(params={"x": 1.0}),
+     ("config error", "params.x", "'x'", "independent[0].name")),
+    (lambda doc: doc["dependent"].append(dict(doc["dependent"][0])),
+     ("config error", "dependent[1].name", "'u'", "dependent[0].name")),
+    (lambda doc: doc["dependent"][0].update(name="y"),
+     ("config error", "dependent[0].name", "'y'", "independent[1].name")),
+    (lambda doc: doc["dependent"][0].update(name=[1]),
+     ("config error", "dependent[0].name", "[1]")),
+    (lambda doc: doc.update(extras=[{"name": "u", "init": 0.0}]),
+     ("config error", "extras[0].name", "'u'", "dependent[0].name")),
+    (lambda doc: doc.update(params={"c": 1.0},
+                            extras=[{"name": "c", "init": 0.0}]),
+     ("config error", "extras[0].name", "'c'", "params.c")),
 ])
 def test_problem_errors_named_without_traceback(tmp_path, runner, edit,
                                                 fragments):

@@ -1,9 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from funcon import basis as B
 from funcon import constraint_core as C
+from funcon import exprfn as E
 
 
 def op_point(*terms):
@@ -293,3 +298,245 @@ def test_ce_returns_g_when_g_satisfies_constraints():
 def test_build_requires_matching_support_count():
     with pytest.raises(ValueError, match="support"):
         C.build_univariate_ce(POINT_CONSTRAINTS, C.MonomialSupports([0, 1]))
+
+
+# ---------------------------------------------------------------------------
+# recursive CE at distinct rows against one point at a time
+
+def test_distinct_rows_ignore_own_column_and_keep_signed_zeros():
+    pts = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 2.0], [-0.0, 3.0]])
+    first, inverse = C._distinct_rows(pts, 1)
+    assert len(first) == 2
+    np.testing.assert_array_equal(
+        pts[first][inverse][:, 0].view(np.int64), pts[:, 0].view(np.int64))
+    first, inverse = C._distinct_rows(pts, 0)
+    assert len(first) == 3
+    np.testing.assert_array_equal(pts[first][inverse][:, 1], pts[:, 1])
+
+
+_ELM_ACTIVATION_BOUND = 5.0  # |sin^(d)| <= 1 and |tanh^(d)| <= 4.1, d <= 4
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_subnormal=False)
+
+
+def _feature(draw, dims, intervals):
+    """An ELM (sin or tanh) or a tensor-product (Chebyshev, Legendre or
+    Fourier) free function; the highest derivative order it takes."""
+    if draw(st.booleans()):
+        activation = draw(st.sampled_from(("sin", "tanh")))
+        family = B.ElmFamily(activation, draw(st.integers(1, 6)), dims,
+                             draw(st.integers(0, 2**31 - 1)))
+        maps = [B.DomainMap(lo, hi, 0.0, 1.0) for lo, hi in intervals]
+        # tanh derivatives stop at order 4: the total order stays <= 3
+        return B.ElmFeature(family, maps), 2 if activation == "sin" else 1
+    kind = draw(st.sampled_from(("chebyshev", "legendre", "fourier")))
+    z0, zf = B.NATIVE_DOMAINS[kind]
+    degree = draw(st.integers(1, 4))
+    return B.TensorFeature(
+        [B.BasisFamily(kind, degree) for _ in range(dims)],
+        [B.DomainMap(lo, hi, z0, zf) for lo, hi in intervals],
+        total_degree=degree), 2
+
+
+@st.composite
+def _ce_fields(draw):
+    """A random recursive CE around an ELM or tensor free function: 1-3
+    dimensions, each constrained or not, 1-2 constraints per constrained
+    dimension mixing point, derivative, relative, own-dimension integral and
+    foreign ``integral_over`` terms, with constant, expression (over the
+    other variables, a param and the extra c) or component kappas (another
+    variable's field at the constraint's slice).  At most one term
+    integrates, which bounds the reference's quadrature work.  Returns
+    (field, pts, orders, extras) with pts a shuffled mesh holding 0.0 and
+    -0.0 and some repeated rows."""
+    dims = draw(st.integers(1, 3))
+    names = "xyz"[:dims]
+    intervals = [(draw(_finite(-2.0, -0.25)), draw(_finite(0.25, 2.0)))
+                 for _ in names]
+    u, max_order = _feature(draw, dims, intervals)
+    v, v_order = _feature(draw, dims, intervals)
+    max_order = min(max_order, v_order)
+    width = u.count + v.count
+    ctx = C.FieldContext(names, width, {"p": 1.5})
+    u_field = C.FeatureField(ctx, u, slice(0, u.count))
+    v_field = C.FeatureField(ctx, v, slice(u.count, width))
+    integrals = 1
+    field = u_field
+    for k in draw(st.lists(st.integers(0, dims - 1), min_size=1,
+                           max_size=dims, unique=True)):
+        lo, hi = intervals[k]
+        at = _finite(lo, hi)
+        coeff = _finite(0.5, 2.0) | _finite(-2.0, -0.5)
+        others = [j for j in range(dims) if j != k]
+        cons = []
+        for _ in range(draw(st.integers(1, 2))):
+            kinds = ["point", "derivative", "relative"]
+            if integrals:
+                kinds.append("integral")
+                if others:
+                    kinds.append("foreign")
+            kind = draw(st.sampled_from(kinds))
+            if kind == "point":
+                specs = [C.PointDeriv(0, draw(at))]
+            elif kind == "derivative":
+                specs = [C.PointDeriv(draw(st.integers(1, max_order)),
+                                      draw(at), draw(coeff))]
+            elif kind == "relative":
+                specs = [C.PointDeriv(0, draw(at)),
+                         C.PointDeriv(0, draw(at), -1.0)]
+            elif kind == "integral":
+                a, b = sorted((draw(at), draw(at)))
+                assume(b - a > 0.05)
+                specs = [C.DefiniteIntegral(a, b, draw(coeff))]
+                integrals -= 1
+            else:
+                j = draw(st.sampled_from(others))
+                specs = [C.PointDeriv(0, draw(at), draw(coeff),
+                                      ((j, *intervals[j]),))]
+                integrals -= 1
+            value = draw(_finite(-2.0, 2.0))
+            kappa = draw(st.sampled_from(("const", "expr", "component")))
+            if kappa != "const":
+                o = names[draw(st.sampled_from(others))] if others else "p"
+                value = E.parse(f"{value!r}*{o}^2 + sin({o}) + c*p")
+            kappa = C.as_kappa(value) if kappa != "component" else \
+                C.ComponentKappa(value, ((draw(coeff), v_field,
+                                          {k: (0, draw(at))}),))
+            cons.append(C.Constraint(C.ConstraintOperator(specs), kappa))
+        try:
+            ce = C.build_univariate_ce(cons, dim=k)
+        except C.SingularSupportError:
+            assume(False)
+        field = C.CEField(field, ce)
+    axes = [draw(st.lists(_finite(lo, hi) | st.sampled_from((0.0, -0.0)),
+                          min_size=1, max_size=2 if dims == 3 else 3))
+            for lo, hi in intervals]
+    axes[0] += [0.0, -0.0]
+    mesh = np.array(np.meshgrid(*axes, indexing="ij")).reshape(dims, -1).T
+    rows = draw(st.permutations(list(range(len(mesh))) + draw(st.lists(
+        st.integers(0, len(mesh) - 1), max_size=4))))
+    orders = tuple(draw(st.integers(0, max_order - 1)) for _ in names)
+    return field, mesh[rows], orders, {"c": draw(_finite(-2.0, 2.0))}
+
+
+def _magnitude(field, pts, orders, extras):
+    """``field.eval`` with every term replaced by its magnitude: absolute
+    coefficients, weights, kappas and switching products |S| |alpha|.  An
+    ELM feature's magnitude A |w|^d (1 + |z| |w| + |b|) also bounds how far
+    rounding of its pre-activation w . z + b moves it, in units of eps."""
+    if isinstance(field, C.CEField):
+        k = field.ce.dim
+        out = _magnitude(field.inner, pts, orders, extras)
+        phi = np.abs(field.ce.supports.table(pts[:, k], orders[k])) \
+            @ np.abs(field.ce.alpha)
+        cross = tuple(0 if j == k else d for j, d in enumerate(orders))
+        for j, con in enumerate(field.ce.constraints):
+            rho = C._ae_add(
+                _kappa_magnitude(con.kappa, field.ctx, pts, cross, extras),
+                _operator_magnitude(con.operator, field.inner, pts, cross, k,
+                                    extras))
+            out = C._ae_add(out, C._ae_scale(rho, phi[:, j]))
+        return out
+    feature = field.feature
+    if isinstance(feature, B.ElmFeature):
+        w, b = feature.family.weights, feature.family.biases
+        z = np.column_stack([m.to_basis(pts[:, k])
+                             for k, m in enumerate(feature.maps)])
+        scale = np.ones(len(b))
+        for k, d in enumerate(orders):
+            scale = scale * np.abs(w[:, k] * feature.maps[k].slope) ** d
+        table = _ELM_ACTIVATION_BOUND * scale * (1 + np.abs(z) @ np.abs(w.T)
+                                                 + np.abs(b))
+    else:
+        table = np.abs(feature.eval(pts, orders))
+    rows = np.zeros((pts.shape[0], field.width))
+    rows[:, field.col_slice] = table
+    return C.AffineEval(rows, np.zeros(pts.shape[0]), {})
+
+
+def _absolute(ae):
+    return C.AffineEval(np.abs(ae.rows), np.abs(ae.offset),
+                        {k: np.abs(g) for k, g in ae.grads.items()})
+
+
+def _kappa_magnitude(kappa, ctx, pts, orders, extras):
+    if not isinstance(kappa, C.ComponentKappa):
+        return _absolute(kappa.eval(ctx, pts, orders, extras))
+    out = _absolute(C.as_kappa(kappa.base).eval(ctx, pts, orders, extras))
+    for coeff, other, fixed in kappa.refs:
+        if any(orders[j] for j in fixed):
+            continue
+        pts2, orders2 = pts.copy(), list(orders)
+        for j, (d, loc) in fixed.items():
+            pts2[:, j], orders2[j] = loc, d
+        out = C._ae_add(out, C._ae_scale(
+            _magnitude(other, pts2, tuple(orders2), extras), abs(coeff)))
+    return out
+
+
+def _operator_magnitude(op, inner, pts, orders, k, extras):
+    out = C._zero(pts.shape[0], inner.width)
+    for s in op.specs:
+        orders2 = list(orders)
+        if isinstance(s, C.PointDeriv):
+            if any(orders[j] for j, _, _ in s.foreign):
+                continue
+            orders2[k] = s.order
+            # (dimension, nodes, weights) of each coordinate the term fixes
+            axes = [(k, [s.location], [1.0])] + [
+                (j, *C.gauss_legendre(lo, hi)) for j, lo, hi in s.foreign]
+        else:
+            orders2[k] = 0
+            axes = [(k, *C.gauss_legendre(s.lower, s.upper))]
+        for nodes in itertools.product(*(zip(t, w) for _, t, w in axes)):
+            pts2, weight = pts.copy(), abs(s.coeff)
+            for (j, _, _), (t, w) in zip(axes, nodes):
+                pts2[:, j] = t
+                weight *= abs(w)
+            out = C._ae_add(out, C._ae_scale(
+                _magnitude(inner, pts2, tuple(orders2), extras), weight))
+    return out
+
+
+@given(_ce_fields())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+def test_distinct_row_ce_equals_pointwise_ce(drawn):
+    # Both evaluations compute every entry by the same operations in the
+    # same order.  Only the batched products differ: the switching values
+    # S alpha (at most 3 products) and an ELM's pre-activation w . z + b
+    # (at most 4), each within 4 eps of its magnitude, which ``_magnitude``
+    # includes.  Along any entry's deepest chain there are at most 3 CE
+    # levels, each adding g, phi * (kappa - C[g]) and summing at most 2
+    # terms of at most 64 quadrature products (about 72 roundings), plus
+    # one component kappa's level and a foreign rule of 64 nodes: under
+    # 4 * 72 + 64 + 8 = 360 roundings, so each path is within 360 eps of
+    # the exact value in units of the magnitude R.  Written before the
+    # first run: |batched - pointwise| <= 1024 (eps R + tiny), with the
+    # smallest normal number ``tiny`` for products that underflow.  A CE
+    # skips a constraint whose switching function vanishes at every point,
+    # so one point may lack a gradient that another has: the batched
+    # gradients carry the union of the points' keys, zero where one lacks.
+    field, pts, orders, extras = drawn
+    got = field.eval(pts, orders, extras)
+    rows = [field.eval(p[None, :], orders, extras) for p in pts]
+    want = C.AffineEval(np.vstack([r.rows for r in rows]),
+                        np.concatenate([r.offset for r in rows]),
+                        {name: np.concatenate([r.grads.get(name, [0.0])
+                                               for r in rows])
+                         for name in set().union(*(r.grads for r in rows))})
+    mag = _magnitude(field, pts, orders, extras)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+
+    def within(a, b, r):
+        assert a.shape == b.shape
+        assert np.all(np.abs(a - b) <= 1024 * (eps * r + tiny))
+
+    within(got.rows, want.rows, mag.rows)
+    within(got.offset, want.offset, mag.offset)
+    assert got.grads.keys() == want.grads.keys()
+    for name in want.grads:
+        within(got.grads[name], want.grads[name], mag.grads[name])

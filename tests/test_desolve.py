@@ -776,3 +776,37 @@ def test_unknown_symbol_in_residual_rejected():
 def test_partial_along_unknown_dimension_rejected():
     with pytest.raises(ValueError, match="unknown"):
         D.ProblemBuild(first_order_ode(residual="y_t"))
+
+
+@pytest.mark.parametrize("change,message", [
+    (dict(params={"x": 1.0}),
+     "'x' is declared as independent variable and as param"),
+    (dict(independent=(D.IndependentVar("x", (0.0, 1.0), 8),) * 2),
+     "'x' is declared as independent variable and as independent variable"),
+    (dict(dependent=first_order_ode().dependent * 2),
+     "'y' is declared as dependent variable and as dependent variable"),
+    (dict(extras=(D.ExtraUnknown("y", 0.0),)),
+     "'y' is declared as dependent variable and as extra"),
+    (dict(params={"c": 1.0}, extras=(D.ExtraUnknown("c", 0.0),)),
+     "'c' is declared as param and as extra"),
+])
+def test_problem_names_must_be_distinct(change, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(first_order_ode(), **change)
+
+
+def test_builtin_problems_declare_distinct_names():
+    balloon = P.balloon()
+    problems = [
+        P.simple_pde(), P.simple_pde("spectral"), P.simple_pde_xtfc(),
+        P.wave1d(), P.wave2d_tfc(), P.wave2d_xtfc(),
+        P.biharmonic_cartesian(), P.biharmonic_polar(),
+        P.convection_diffusion(1.0),
+        D._split_problem(*P.convection_diffusion_split(1e6)),
+        balloon,
+        # solve_balloon's frozen stage: the extras become params
+        dataclasses.replace(balloon, extras=(), params={
+            **balloon.params, "beta": 1.0, "ell": 12.0}),
+    ]
+    for problem in problems:
+        D.ProblemBuild(problem)
