@@ -360,6 +360,8 @@ def report_to_dict(report: SolveReport, problem: DeProblem) -> dict:
             "columns": report.columns,
             "training_points": report.training_points,
         },
+        # a list, so outside the scalar metrics that the CSV report tabulates
+        "residual_history": list(map(float, report.residual_history)),
     }
 
 

@@ -684,12 +684,14 @@ class SolveReport:
     mean_error: float = None
     iterations: int = 0
     # linear | residual-inf-norm | step-inf-norm (converged);
-    # max-iterations | non-finite (not converged)
+    # max-iterations | stalled | non-finite (not converged)
     reason: str = "linear"
     wall_seconds: float = 0.0
     seed: int = None
     columns: int = 0
     training_points: int = 0
+    # Gauss-Newton residual inf-norm per iterate; empty on the linear path
+    residual_history: list = dc_field(default_factory=list)
 
     @property
     def converged(self):
@@ -737,7 +739,7 @@ def _solve(bld, seed, x0, t0):
         A, b = assemble_linear(bld, pts)
         q = lstsq(A, b, method=problem.method)
         resid = A @ q - b
-        iterations, reason = 0, "linear"
+        iterations, reason, history = 0, "linear", []
     else:
         residual, jacobian = assemble_nonlinear(bld, pts)
         cfg = NllsConfig(tol=problem.nlls_tol, max_iter=problem.nlls_max_iter,
@@ -746,6 +748,7 @@ def _solve(bld, seed, x0, t0):
         q = result.xi
         resid = residual(q)
         iterations, reason = result.iterations, result.reason
+        history = result.residual_history
     if not (np.isfinite(q).all() and np.isfinite(resid).all()):
         reason = "non-finite"
     xi = q[:width]
@@ -766,6 +769,7 @@ def _solve(bld, seed, x0, t0):
         seed=seed,
         columns=width,
         training_points=pts.shape[0],
+        residual_history=history,
     )
 
 

@@ -4,7 +4,9 @@ The iterative loop is plain Gauss-Newton: solve J dxi = -L each step, no
 damping or line search; divergence control (e.g. clamped unknowns) is the
 caller's job.  Stopping conditions, in order: a non-finite residual,
 residual infinity norm below tol, step infinity norm below tol, iteration
-count past max_iter.
+count past max_iter, and a stall (``STALL_WINDOW`` iterations without the
+residual infinity norm halving).  Only the residual and step stops count as
+converged; "max-iterations", "stalled" and "non-finite" do not.
 """
 
 from __future__ import annotations
@@ -20,10 +22,15 @@ __all__ = [
     "lstsq",
     "NllsConfig",
     "NllsResult",
+    "STALL_WINDOW",
     "nlls",
 ]
 
 LSQ_METHODS = ("normal", "qr", "scaled-qr", "svd-pinv", "cholesky")
+
+# Gauss-Newton iterations without the residual inf-norm halving before it
+# stops as "stalled"; ``nlls`` says why 5
+STALL_WINDOW = 5
 
 
 class RankDeficientError(np.linalg.LinAlgError):
@@ -94,7 +101,8 @@ class NllsConfig:
 class NllsResult:
     xi: np.ndarray
     iterations: int
-    # residual-inf-norm | step-inf-norm | max-iterations | non-finite
+    # residual-inf-norm | step-inf-norm (converged);
+    # max-iterations | stalled | non-finite (not converged)
     reason: str
     residual_history: list = field(default_factory=list)
 
@@ -104,15 +112,32 @@ class NllsResult:
 
 
 def nlls(residual, jacobian, xi0, config: NllsConfig = None) -> NllsResult:
-    """Gauss-Newton iteration xi <- xi + dxi with J dxi = -L by least squares."""
+    """Gauss-Newton iteration xi <- xi + dxi with J dxi = -L by least squares.
+
+    Stall stop: the anchor is iteration 0 at first, and moves to each
+    iteration whose residual inf-norm is below half of the anchor's; the
+    loop stops with reason "stalled", not converged, when it is
+    ``STALL_WINDOW`` iterations past the anchor.  Why 5: inside its basin,
+    Gauss-Newton on a consistent problem reduces the residual at least
+    linearly, and quadratically at full rank, so the residual halves within
+    a step or two.  Five steps without one halving mean the iterate sits at
+    the rounding floor of the residual or outside the basin, and the same
+    undamped step will not help.  Unlike the step test at the rounding
+    floor, the stall test needs no norm to cross a tolerance by chance, so
+    rounding (say, of another BLAS thread count) does not decide whether it
+    fires.
+    """
     config = config or NllsConfig()
     xi = np.atleast_1d(np.asarray(xi0, dtype=float)).copy()
     history = []
     it = 0
+    anchor = 0
     dxi = None
     while True:
         L = np.atleast_1d(np.asarray(residual(xi), dtype=float))
         history.append(float(np.abs(L).max()))
+        if history[-1] < 0.5 * history[anchor]:
+            anchor = it
         # stopping conditions, checked in order each pass
         if not np.isfinite(L).all():
             return NllsResult(xi, it, "non-finite", history)
@@ -122,6 +147,8 @@ def nlls(residual, jacobian, xi0, config: NllsConfig = None) -> NllsResult:
             return NllsResult(xi, it, "step-inf-norm", history)
         if it >= config.max_iter:
             return NllsResult(xi, it, "max-iterations", history)
+        if it - anchor >= STALL_WINDOW:
+            return NllsResult(xi, it, "stalled", history)
         J = np.atleast_2d(np.asarray(jacobian(xi), dtype=float))
         dxi = lstsq(J, -L, method=config.method)
         xi = xi + dxi

@@ -83,6 +83,34 @@ def test_nonconvergent_nonlinear_exits_2(tmp_path, runner):
     assert rep["metrics"]["reason"] == "max-iterations"
 
 
+def test_stalled_nonlinear_exits_2_with_residual_history(tmp_path, runner):
+    doc = yaml.safe_load(SIMPLE_CONFIG)
+    doc["residuals"] = ["u_xx + u_yy + u^2 + 10"]  # no solution nearby
+    del doc["analytic"]
+    cfg = _write(tmp_path, yaml.safe_dump(doc))
+    out = tmp_path / "r.json"
+    result = runner.invoke(cli.main, ["solve", "--config", cfg,
+                                      "--out", str(out)])
+    assert result.exit_code == 2
+    rep = json.loads(out.read_text())
+    assert rep["metrics"]["reason"] == "stalled"
+    history = rep["residual_history"]
+    assert len(history) == rep["metrics"]["iterations"] + 1
+    assert all(isinstance(h, float) for h in history)
+
+
+def test_linear_report_has_empty_residual_history(tmp_path, runner):
+    cfg = _write(tmp_path, SIMPLE_CONFIG)
+    out = tmp_path / "r.json"
+    runner.invoke(cli.main, ["solve", "--config", cfg, "--out", str(out)])
+    assert json.loads(out.read_text())["residual_history"] == []
+    # the CSV report keeps to the scalar metrics
+    result = runner.invoke(cli.main, ["solve", "--config", cfg,
+                                      "--format", "csv"])
+    keys = [row[0] for row in csv.reader(io.StringIO(result.stdout))]
+    assert "residual_history" not in keys and "reason" in keys
+
+
 def _assert_named_exit_1(result, *fragments):
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)  # no uncaught error

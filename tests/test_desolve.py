@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import types
 
 import numpy as np
@@ -649,16 +650,27 @@ def test_warm_start_of_wrong_length_names_the_expected_one():
 
 def test_balloon_wall_time_covers_every_stage(monkeypatch):
     stages = []
+    builds = []
 
-    def recording(problem, seed=None, x0=None):
-        rep = D.solve(problem, seed=seed, x0=x0)
-        stages.append(rep.wall_seconds)
-        return rep
+    def recording(*args, **kwargs):
+        t0 = time.perf_counter()
+        result = nlls(*args, **kwargs)
+        stages.append(time.perf_counter() - t0)
+        return result
 
-    monkeypatch.setattr(P, "solve", recording)
+    build_init = D.ProblemBuild.__init__
+
+    def counting(self, problem):
+        builds.append(problem.name)
+        build_init(self, problem)
+
+    monkeypatch.setattr(P, "nlls", recording)
+    monkeypatch.setattr(D, "nlls", recording)
+    monkeypatch.setattr(D.ProblemBuild, "__init__", counting)
     rep, _ = P.solve_balloon(52)
     assert len(stages) == 2  # frozen shape, then beta and ell released
     assert rep.wall_seconds >= sum(stages)
+    assert builds == ["balloon-52km"]  # both stages share one build
 
 
 def test_embedded_constraints_hold_regardless_of_convergence():
@@ -693,6 +705,37 @@ def test_solve_split_c1_continuity_structural():
     xp = rep.extras["xp"]
     assert 0 < xp < 1
     assert rep.max_error < 1e-10  # Pe = 1 is easy on both halves
+
+
+def test_split_pe1e6_stops_stalled_within_criterion_8():
+    # past its best residual (iteration 3) Gauss-Newton wanders at the
+    # rounding floor; the stall stop ends it there, not converged, and the
+    # errors stay inside criterion 8's bounds
+    rep = D.solve_split(*P.convection_diffusion_split(1e6))
+    assert rep.reason == "stalled" and not rep.converged
+    assert rep.iterations < 50
+    assert len(rep.residual_history) == rep.iterations + 1
+    assert rep.max_error <= 1e-9 and rep.mean_error <= 1e-11
+
+
+_SPLIT_PROBE = """
+from funcon import desolve, problems
+rep = desolve.solve_split(*problems.convection_diffusion_split(1e6))
+print(rep.reason, rep.iterations)
+"""
+
+
+def test_split_pe1e6_stop_independent_of_blas_threads():
+    src = os.path.dirname(os.path.dirname(funcon.__file__))
+    outputs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", _SPLIT_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
+    assert outputs.pop().split()[0] == "stalled"
 
 
 def test_split_continuity_for_any_coefficients():

@@ -123,16 +123,54 @@ def test_affine_converges_in_one_iteration():
 def test_no_real_root_never_converges():
     res = lambda x: np.array([x[0] ** 2 + 1.0])
     jac = lambda x: np.array([[2.0 * x[0]]])
-    # generic start: the iterates bounce forever, stopping only on max_iter
+    # generic start: the iterates bounce forever and the residual never
+    # halves from its start, so the stall stop ends the loop at the window
     out = S.nlls(res, jac, [0.7], S.NllsConfig(max_iter=50))
-    assert out.reason == "max-iterations"
-    assert out.iterations == 50
+    assert out.reason == "stalled"
+    assert out.iterations == S.STALL_WINDOW == 5
+    assert not out.converged
     assert min(out.residual_history) >= 1.0
     # from exactly 1.0 Gauss-Newton lands on the stationary point xi = 0,
     # where the step vanishes; either way the residual never reaches tol
     out2 = S.nlls(res, jac, [1.0], S.NllsConfig(max_iter=50))
     assert out2.reason in ("step-inf-norm", "max-iterations")
     assert min(out2.residual_history) >= 1.0
+
+
+def _scripted(norms):
+    """Residual whose inf-norm at iterate k (xi = [k]) is norms[k]; the
+    Jacobian steps xi by exactly 1."""
+    res = lambda x: np.array([norms[int(round(x[0]))]])
+    jac = lambda x: np.array([[-norms[int(round(x[0]))]]])
+    return res, jac
+
+
+def test_plateau_stops_stalled_at_anchor_plus_window():
+    # halvings up to iteration 3 move the anchor; 0.9 * 0.1 never halves it
+    norms = [10.0, 4.0, 1.0, 0.1] + [0.09, 0.06, 0.07, 0.08] * 5
+    res, jac = _scripted(norms)
+    out = S.nlls(res, jac, [0.0], S.NllsConfig(max_iter=50))
+    assert out.reason == "stalled"
+    assert out.iterations == 3 + S.STALL_WINDOW
+    assert not out.converged
+    assert out.residual_history == norms[:out.iterations + 1]
+
+
+def test_halving_residual_never_stalls():
+    # each norm is exactly half the one before, not below it, so the anchor
+    # moves every second iterate, well inside the window
+    norms = [2.0 ** -k for k in range(40)]
+    res, jac = _scripted(norms)
+    out = S.nlls(res, jac, [0.0], S.NllsConfig(tol=1e-300, max_iter=30))
+    assert out.reason == "max-iterations"
+    assert out.iterations == 30
+
+
+def test_max_iterations_wins_over_stall():
+    res, jac = _scripted([1.0] * 20)
+    out = S.nlls(res, jac, [0.0], S.NllsConfig(max_iter=S.STALL_WINDOW))
+    assert (out.reason, out.iterations) == ("max-iterations", S.STALL_WINDOW)
+    assert not out.converged
 
 
 def test_step_norm_stop_with_large_residual():
