@@ -722,8 +722,10 @@ def solve(problem: DeProblem, seed=None, x0=None) -> SolveReport:
     return _solve(ProblemBuild(problem), seed, x0, t0)
 
 
-def _solve(bld, seed, x0, t0):
-    """``solve`` on a built problem; wall time counts from ``t0``."""
+def _solve(bld, seed, x0, t0, closures=None):
+    """``solve`` on a built problem; wall time counts from ``t0``.
+    ``closures`` is ``assemble_nonlinear(bld)``'s pair when the caller has
+    it already: the same grid and rows, so it is not assembled again."""
     problem = bld.problem
     pts = bld.grid()
     width = bld.layout.width
@@ -741,7 +743,7 @@ def _solve(bld, seed, x0, t0):
         resid = A @ q - b
         iterations, reason, history = 0, "linear", []
     else:
-        residual, jacobian = assemble_nonlinear(bld, pts)
+        residual, jacobian = closures or assemble_nonlinear(bld, pts)
         cfg = NllsConfig(tol=problem.nlls_tol, max_iter=problem.nlls_max_iter,
                          method=problem.method)
         result = nlls(residual, jacobian, x0, cfg)

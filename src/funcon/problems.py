@@ -340,7 +340,8 @@ def solve_balloon(altitude=52, n=140, m=50, warm_start=None, beta0=1.0,
     when the domain parameters float, so first solve the over-determined
     shape over the coefficients alone, with beta and ell pinned at beta0 and
     ell0, then release them (or warm-start from a neighbouring altitude's
-    solution).  Both stages share one ProblemBuild.
+    solution).  Both stages share one ProblemBuild and its residual and
+    Jacobian closures.
 
     Returns (report, state) where state warm-starts the next altitude; the
     report's wall time covers both stages.
@@ -348,8 +349,9 @@ def solve_balloon(altitude=52, n=140, m=50, warm_start=None, beta0=1.0,
     t0 = time.perf_counter()
     problem = balloon(altitude, n=n, m=m)
     bld = ProblemBuild(problem)
+    closures = None
     if warm_start is None:
-        residual, jacobian = assemble_nonlinear(bld)
+        closures = residual, jacobian = assemble_nonlinear(bld)
         width = bld.layout.width
         pinned = np.array([beta0, ell0])
         frozen = nlls(
@@ -359,7 +361,7 @@ def solve_balloon(altitude=52, n=140, m=50, warm_start=None, beta0=1.0,
             NllsConfig(tol=problem.nlls_tol, max_iter=30,
                        method=problem.method))
         warm_start = np.concatenate([frozen.xi, pinned])
-    report = _solve(bld, None, warm_start, t0)
+    report = _solve(bld, None, warm_start, t0, closures)
     state = np.concatenate([*report.xi.values(),
                             [report.extras[e.name] for e in problem.extras]])
     return report, state

@@ -7,6 +7,11 @@ residual infinity norm below tol, step infinity norm below tol, iteration
 count past max_iter, and a stall (``STALL_WINDOW`` iterations without the
 residual infinity norm halving).  Only the residual and step stops count as
 converged; "max-iterations", "stalled" and "non-finite" do not.
+
+Every least-squares route runs on numpy's own LAPACK (``np.linalg``);
+svd-pinv is LAPACK's divide-and-conquer least squares, xGELSD.  funcon
+imports no scipy: ``scipy.linalg`` would map a second OpenBLAS, with its own
+load time, memory and thread pool, into every process that imports funcon.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 __all__ = [
     "LSQ_METHODS",
@@ -42,7 +46,8 @@ def _qr_solve(A, b):
     d = np.abs(np.diag(r))
     if d.min() <= d.max() * np.finfo(float).eps * max(A.shape):
         raise RankDeficientError("rank-deficient matrix in QR path")
-    return solve_triangular(r, q.T @ b)
+    # R is zero below its diagonal, so LU's partial pivoting swaps no rows
+    return np.linalg.solve(r, q.T @ b)
 
 
 def lstsq(A: np.ndarray, b: np.ndarray, method: str = "scaled-qr") -> np.ndarray:
@@ -51,7 +56,9 @@ def lstsq(A: np.ndarray, b: np.ndarray, method: str = "scaled-qr") -> np.ndarray
     scaled-qr rescales columns by their inverse 2-norms before factorization
     and unscales the solution; svd-pinv is the SVD route for rank-deficient
     and ill-conditioned systems (singular values at or below
-    max(s)*1e-14*max(shape) are dropped, min-norm solution).
+    max(s)*1e-14*max(shape) are dropped, min-norm solution).  svd-pinv calls
+    xGELSD through ``np.linalg.lstsq``: it applies the SVD's factors to b
+    without forming U or V^T, with the same cutoff through ``rcond``.
     A system with a non-finite entry has an all-NaN solution on every route.
     """
     if method not in LSQ_METHODS:
@@ -72,16 +79,13 @@ def lstsq(A: np.ndarray, b: np.ndarray, method: str = "scaled-qr") -> np.ndarray
         norms[norms == 0] = 1.0
         return _qr_solve(A / norms, b) / norms
     if method == "svd-pinv":
-        u, s, vt = np.linalg.svd(A, full_matrices=False)
-        cutoff = s.max(initial=0.0) * 1e-14 * max(A.shape)
-        inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-        return vt.T @ (inv * (u.T @ b))
+        return np.linalg.lstsq(A, b, rcond=1e-14 * max(A.shape))[0]
     if method == "cholesky":
         try:
-            c = cho_factor(A.T @ A)
+            c = np.linalg.cholesky(A.T @ A)
         except np.linalg.LinAlgError as err:
             raise RankDeficientError(str(err)) from err
-        return cho_solve(c, A.T @ b)
+        return np.linalg.solve(c.T, np.linalg.solve(c, A.T @ b))
 
 
 @dataclass

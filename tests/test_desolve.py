@@ -673,6 +673,35 @@ def test_balloon_wall_time_covers_every_stage(monkeypatch):
     assert builds == ["balloon-52km"]  # both stages share one build
 
 
+def test_cold_balloon_assembles_once_and_matches_a_fresh_assembly(monkeypatch):
+    # the released stage reuses the frozen stage's closures; a fresh
+    # assembly of the same build from the same start gives the same bits
+    starts = []
+    partial_evals = []
+
+    def recording(residual, jacobian, xi0, config=None):
+        starts.append(np.array(xi0, dtype=float))
+        return nlls(residual, jacobian, xi0, config)
+
+    evals = D.ProblemBuild.partial_evals
+
+    def counting(self, *args, **kwargs):
+        partial_evals.append(self.problem.name)
+        return evals(self, *args, **kwargs)
+
+    monkeypatch.setattr(P, "nlls", recording)
+    monkeypatch.setattr(D, "nlls", recording)
+    monkeypatch.setattr(D.ProblemBuild, "partial_evals", counting)
+    rep, _ = P.solve_balloon(52)
+    assert partial_evals == ["balloon-52km"]
+    fresh = D._solve(D.ProblemBuild(P.balloon(52)), None, starts[1], 0.0)
+    assert (fresh.iterations, fresh.reason) == (rep.iterations, rep.reason)
+    assert fresh.residual_history == rep.residual_history
+    for name, xi in rep.xi.items():
+        np.testing.assert_array_equal(fresh.xi[name], xi)
+    assert fresh.extras == rep.extras
+
+
 def test_embedded_constraints_hold_regardless_of_convergence():
     # even arbitrary coefficients satisfy the boundary data at machine precision
     bld = D.ProblemBuild(P.simple_pde(6, 5))
@@ -847,7 +876,7 @@ def test_builtin_problems_declare_distinct_names():
         P.convection_diffusion(1.0),
         D._split_problem(*P.convection_diffusion_split(1e6)),
         balloon,
-        # solve_balloon's frozen stage: the extras become params
+        # the balloon with its extras given as params
         dataclasses.replace(balloon, extras=(), params={
             **balloon.params, "beta": 1.0, "ell": 12.0}),
     ]

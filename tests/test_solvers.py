@@ -1,12 +1,28 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import funcon
 from funcon import solvers as S
 
 
 def _hilbert(n):
     i = np.arange(1, n + 1)
     return 1.0 / (i[:, None] + i[None, :] - 1.0)
+
+
+def _svd_pinv(A, b):
+    """Reference for svd-pinv: the thin SVD applied explicitly, dropping
+    singular values at or below max(s) * 1e-14 * max(shape)."""
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    cutoff = s.max(initial=0.0) * 1e-14 * max(A.shape)
+    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
+    return vt.T @ (inv * (u.T @ b))
 
 
 def test_identity_system():
@@ -61,8 +77,75 @@ def test_rank_deficiency_raises_for_qr_and_cholesky():
         S.lstsq(A, b, "cholesky")
     # the svd path returns the min-norm solution instead
     xi = S.lstsq(A, b, "svd-pinv")
-    np.testing.assert_allclose(xi, np.linalg.lstsq(A, b, rcond=None)[0],
-                               atol=1e-10)
+    np.testing.assert_allclose(xi, _svd_pinv(A, b), atol=1e-10)
+
+
+def test_svd_pinv_cutoff_drops_below_and_keeps_above():
+    # singular values 1, 2c and c/2 around the cutoff c = 1e-14 * 3
+    c = 1e-14 * 3
+    A = np.diag([1.0, 2 * c, c / 2])
+    xi = S.lstsq(A, np.ones(3), "svd-pinv")
+    assert xi[2] == 0.0
+    np.testing.assert_allclose(xi[:2], [1.0, 1 / (2 * c)], rtol=1e-12)
+
+
+@st.composite
+def _lstsq_systems(draw):
+    m, n = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["tall", "square", "wide", "rank-deficient"]))
+    if kind == "tall":
+        m = max(m, n)
+    elif kind == "square":
+        m = n
+    elif kind == "wide":
+        m = min(m, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "rank-deficient":
+        r = draw(st.integers(0, max(min(m, n) - 1, 0)))
+        A = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+    else:
+        A = rng.standard_normal((m, n))
+    return A, rng.standard_normal(m)
+
+
+@given(_lstsq_systems())
+@settings(max_examples=200, deadline=None)
+def test_svd_pinv_matches_explicit_svd_reference(system):
+    # Bound, fixed before running: both routes are backward stable with
+    # relative backward error at most eps_b = 10 * max(m, n) * u, so each
+    # lies within Wedin's bound (Higham, Accuracy and Stability of Numerical
+    # Algorithms, Thm 20.1) of the exact min-norm solution x of the kept
+    # rank-r problem: kappa*eps_b/(1 - kappa*eps_b) * (2 + (kappa + 1) *
+    # ||r|| / (||A|| ||x||)) * ||x||, kappa the ratio of the largest to the
+    # smallest kept singular value.  The two routes differ by at most twice
+    # that.  At rank 0, A is zero and both routes give exactly 0.
+    A, b = system
+    got = S.lstsq(A, b, "svd-pinv")
+    ref = _svd_pinv(A, b)
+    assert got.shape == ref.shape == (A.shape[1],)
+    s = np.linalg.svd(A, compute_uv=False)
+    kept = s[s > s.max(initial=0.0) * 1e-14 * max(A.shape)]
+    if kept.size == 0:
+        assert not got.any() and not ref.any()
+        return
+    kappa = kept[0] / kept[-1]
+    eps_b = 10 * max(A.shape) * np.finfo(float).eps
+    assert kappa * eps_b < 0.5
+    x_norm = np.linalg.norm(ref)
+    rho = np.linalg.norm(A @ ref - b) / (kept[0] * x_norm)
+    bound = 2 * kappa * eps_b / (1 - kappa * eps_b) * (2 + (kappa + 1) * rho)
+    assert np.linalg.norm(got - ref) <= bound * x_norm
+
+
+def test_importing_funcon_loads_no_scipy():
+    # scipy.linalg would map a second OpenBLAS next to numpy's
+    src = os.path.dirname(os.path.dirname(funcon.__file__))
+    probe = ("import sys, funcon, funcon.cli; print(sorted(m for m in "
+             "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.stdout.strip() == "[]"
 
 
 def test_underdetermined_rejected_for_square_factorizations():
