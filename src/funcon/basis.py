@@ -13,9 +13,10 @@ its points.  ``eval`` multiplies the tables into coefficient rows;
 ``values`` gives h(x)^T coef without rows, by contracting the dense
 coefficient tensor with the tables one dimension at a time.  A constrained
 expression whose every dimension acts on functions of that dimension alone
-projects each 1-D table, T - phi (C T), and ``eval(pts, orders,
-projection)`` multiplies the projected tables into the expression's
-coefficient rows.
+projects each 1-D table, T - phi (C T): ``eval(pts, orders, projection)``
+multiplies the projected tables into the expression's coefficient rows, and
+``values(pts, orders, coef, projection)`` contracts them with coef into the
+expression's coefficient part, without rows either way.
 """
 
 from __future__ import annotations
@@ -127,29 +128,28 @@ def _recurrence_table(kind, z, m, d):
     """d-th z-derivative of basis functions 0..m at points z, shape (len(z), m+1).
 
     Polynomial families carry their three-term recursion along for every
-    derivative order q up to d simultaneously; differentiating it q times
-    gives P^(q)_{k+1} = s*((beta + alpha*z)*P^(q)_k + q*alpha*P^(q-1)_k)
+    derivative order q up to d simultaneously, one (d+1, len(z)) slab per
+    degree step; differentiating the recursion q times gives
+    P^(q)_{k+1} = s*((beta + alpha*z)*P^(q)_k + q*alpha*P^(q-1)_k)
     - c*P^(q)_{k-1}.
     """
     z = np.asarray(z, dtype=float)
     if kind == "fourier":
         return _fourier_table(z, m, d)
     coefficients = _THREE_TERM[kind]
-    # tab[q] holds the q-th derivative table while recursing
-    tab = np.zeros((d + 1, z.shape[0], m + 1))
-    tab[0, :, 0] = 1.0
+    # tab[k, q] holds the q-th derivative of P_k while recursing
+    tab = np.zeros((m + 1, d + 1, z.shape[0]))
+    tab[0, 0] = 1.0
+    q = np.arange(1, d + 1, dtype=float)[:, None]
     for k in range(m):
         alpha, beta, s, c = coefficients(k)
-        w = beta + alpha * z
-        for q in range(d + 1):
-            lower = tab[q - 1, :, k] if q >= 1 else 0.0
-            prev = tab[q, :, k - 1] if k >= 1 else 0.0
-            nxt = w * tab[q, :, k]
-            nxt += (q * alpha) * lower
-            nxt *= s
-            nxt -= c * prev
-            tab[q, :, k + 1] = nxt
-    return tab[d]
+        nxt = (beta + alpha * z) * tab[k]
+        nxt[1:] += (q * alpha) * tab[k, :-1]
+        nxt *= s
+        if k >= 1:
+            nxt -= c * tab[k - 1]
+        tab[k + 1] = nxt
+    return np.ascontiguousarray(tab[:, d].T)
 
 
 def _fourier_table(z, m, d):
@@ -253,9 +253,9 @@ def _activation_deriv(name, x, d):
         return [np.sin, np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t)][d % 4](x)
     if name == "tanh":
         t = np.tanh(x)
-        s = 1.0 - t * t  # sech^2
         if d == 0:
             return t
+        s = 1.0 - t * t  # sech^2
         if d == 1:
             return s
         if d == 2:
@@ -401,16 +401,20 @@ class TensorFeature:
             cols *= table[:, self._idx[:, k]]
         return cols
 
-    def values(self, pts: np.ndarray, orders, coef) -> np.ndarray:
+    def values(self, pts: np.ndarray, orders, coef,
+               projection=None) -> np.ndarray:
         """Mixed partial of h(x)^T coef, shape (npoints,), without the
         (npoints, count) matrix: coef is scattered into the dense
         (m_1+1) x ... x (m_d+1) tensor (zeros at dropped indices) and
-        contracted with the 1-D tables one dimension at a time."""
+        contracted with the 1-D tables one dimension at a time.  With a
+        ``projection`` (see ``_tables``) the tables are the projected ones,
+        so this is the coefficient part of the constrained expression that
+        projects those dimensions, (rows of ``eval``) @ coef."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         n = pts.shape[0]
         dense = np.zeros([fam.degree + 1 for fam in self.families])
         dense[tuple(self._idx.T)] = coef
-        first, *rest = self._tables(pts, orders)
+        first, *rest = self._tables(pts, orders, projection)
         acc = first @ dense.reshape(dense.shape[0], -1)
         for table in rest:
             acc = np.einsum("nj,njr->nr", table,

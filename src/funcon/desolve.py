@@ -20,17 +20,18 @@ the Gauss-Newton path alike.
 
 Each dependent variable's processed univariate CEs (``ProblemBuild.ces``)
 compose around the free function a caller holds: zero for the kappa
-offsets, once per Gauss-Newton iterate; the solved h(x)^T xi for solution
-values, which the feature's ``values`` gives without building rows (a
-tensor feature contracts xi with its 1-D tables one dimension at a time).
-Coefficient rows are evaluated once per grid.  When every CE of a
-tensor-feature variable is separable (point and own-dimension integral
-constraints, constant or expression kappas), the build applies each
-dimension's operators to its full 1-D basis table once, C[T], and the rows
-are products of the projected tables T - phi (C T) at the retained
-multi-indices (``ProblemBuild.projections``); spectral mode, with no CE,
-takes the plain tables.  ELM features, foreign integrals and component
-kappas take the recursive CE around h(x)^T xi.
+offsets, once per grid at the initial extras and once per Gauss-Newton
+iterate at other extras.  Coefficient rows are evaluated once per grid.
+When every CE of a tensor-feature variable is separable (point and
+own-dimension integral constraints, constant or expression kappas), the
+build applies each dimension's operators to its full 1-D basis table once,
+C[T]; the rows are products of the projected tables T - phi (C T) at the
+retained multi-indices (``ProblemBuild.projections``), and solution values
+contract xi with the projected tables one dimension at a time, plus the
+offsets.  Spectral mode, with no CE, takes the plain tables.  ELM features,
+foreign integrals and component kappas take the recursive CE around
+h(x)^T xi, whose values the feature's ``values`` gives without building
+rows.
 """
 
 from __future__ import annotations
@@ -393,8 +394,8 @@ class ProblemBuild:
         A dependent variable in ``projections`` takes its rows from the
         tensor feature's projected 1-D tables and its offset and gradients
         from the CE of the zero function, which carries every kappa term.
-        The others (ELM features, foreign integrals, component kappas)
-        evaluate the recursive CE around h(x)^T xi."""
+        The recursive CE around h(x)^T xi serves only the others (ELM
+        features, foreign integrals, component kappas) and the offsets."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         out = {}
         for tag, (base, orders) in self._tags.items():
@@ -442,15 +443,23 @@ class ProblemBuild:
         return b
 
     def evaluate_solution(self, dep_name, pts, xi, extras):
-        """Values (n,) of one dependent variable at coefficients ``xi``: its
-        CE around the solved free function h(x)^T xi, which
-        ``feature.values`` evaluates without an (n, count) row matrix."""
+        """Values (n,) of one dependent variable at coefficients ``xi``.
+
+        A variable in ``projections`` contracts xi with its projected 1-D
+        tables (``TensorFeature.values`` with the projection) and adds the
+        offsets, the CE of the zero function.  The others (ELM features,
+        foreign integrals, component kappas) take their CE around the
+        solved free function h(x)^T xi, which ``feature.values`` evaluates
+        without an (n, count) row matrix."""
         feature = self.features[dep_name]
         coef = xi[self.layout.slice_of(dep_name)]
+        zero = (0,) * len(self.var_names)
+        if dep_name in self.projections:
+            return feature.values(pts, zero, coef, self.projections[dep_name]) \
+                + self.offsets[dep_name].eval(pts, zero, extras).offset
         solved = CallableField(
             lambda p, orders: feature.values(p, orders, coef),
             self.var_names, self.problem.params)
-        zero = (0,) * len(self.var_names)
         return self.compose(dep_name, solved).eval(pts, zero, extras).offset
 
     def solution_and_truth(self, dep_name, pts, xi, extras):
@@ -548,9 +557,14 @@ def assemble_nonlinear(bld: ProblemBuild, pts=None):
     n = pts.shape[0]
     # rows are the same for any extras; the initial ones bind the kappas
     init, _ = bld.clamp_extras({e.name: e.init for e in problem.extras})
-    rows = {tag: ev.rows for tag, ev in bld.partial_evals(pts, init).items()}
-    con_rows = [c.rows for c in bld.constraint_evals(bld.fields, init)]
-    last = {}  # raw extras -> offsets; residual and jacobian at one q share it
+    evals = bld.partial_evals(pts, init)
+    rows = {tag: ev.rows for tag, ev in evals.items()}
+    cons0 = bld.constraint_evals(bld.fields, init)
+    con_rows = [c.rows for c in cons0]
+    # raw extras -> offsets; residual and jacobian at one q share it.  The
+    # rows' evaluation gave the offsets at the initial extras already
+    key0 = np.array([e.init for e in problem.extras], dtype=float).tobytes()
+    last = {key0: (evals, cons0)}
 
     def state(q):
         xi = q[:width]

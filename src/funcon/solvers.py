@@ -9,7 +9,8 @@ residual infinity norm halving).  Only the residual and step stops count as
 converged; "max-iterations", "stalled" and "non-finite" do not.
 
 Every least-squares route runs on numpy's own LAPACK (``np.linalg``);
-svd-pinv is LAPACK's divide-and-conquer least squares, xGELSD.  funcon
+svd-pinv is LAPACK's divide-and-conquer least squares, xGELSD, and the QR
+routes factor [A | b] once, in R-only mode, so Q is never formed.  funcon
 imports no scipy: ``scipy.linalg`` would map a second OpenBLAS, with its own
 load time, memory and thread pool, into every process that imports funcon.
 """
@@ -42,12 +43,16 @@ class RankDeficientError(np.linalg.LinAlgError):
 
 
 def _qr_solve(A, b):
-    q, r = np.linalg.qr(A)
+    # one QR of [A | b], Q never formed: R is the leading n x n block and
+    # Q^T b the first n entries of column n
+    n = A.shape[1]
+    rb = np.linalg.qr(np.column_stack([A, b]), mode="r")
+    r = rb[:n, :n]
     d = np.abs(np.diag(r))
     if d.min() <= d.max() * np.finfo(float).eps * max(A.shape):
         raise RankDeficientError("rank-deficient matrix in QR path")
     # R is zero below its diagonal, so LU's partial pivoting swaps no rows
-    return np.linalg.solve(r, q.T @ b)
+    return np.linalg.solve(r, rb[:n, n])
 
 
 def lstsq(A: np.ndarray, b: np.ndarray, method: str = "scaled-qr") -> np.ndarray:

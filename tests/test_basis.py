@@ -339,6 +339,80 @@ def test_activation_derivatives(act):
             np.testing.assert_allclose(got, fd, atol=1e-6)
 
 
+def _sigmoid_ref(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _tanh_sech2(x):
+    t = np.tanh(x)
+    return t, 1.0 - t * t
+
+
+def _sig(x, d):
+    s = _sigmoid_ref(x)
+    return [s, s * (1 - s), s * (1 - s) * (1 - 2 * s),
+            s * (1 - s) * (1 - 6 * s + 6 * s * s),
+            s * (1 - s) * (1 - 2 * s) * (1 - 12 * s + 12 * s * s)][d]
+
+
+# reference activation derivatives, d = 0..4, in the closed forms and the
+# operation order of the implementation; tanh forms sech^2 at every order
+_ACTIVATION_REF = {
+    "sin": lambda x, d: [np.sin, np.cos, lambda t: -np.sin(t),
+                         lambda t: -np.cos(t)][d % 4](x),
+    "tanh": lambda x, d: (lambda t, s: [
+        t, s, -2.0 * t * s, s * (4.0 * t * t - 2.0 * s),
+        t * s * (16.0 * s - 8.0 * t * t)][d])(*_tanh_sech2(x)),
+    "sigmoid": _sig,
+    "swish": lambda x, d: x * _sigmoid_ref(x) if d == 0
+    else x * _sig(x, d) + d * _sig(x, d - 1),
+    "relu": lambda x, d: [np.maximum(x, 0.0), (x > 0).astype(float)][d]
+    if d < 2 else np.zeros_like(x),
+}
+
+
+@pytest.mark.parametrize("act", sorted(_ACTIVATION_REF))
+@pytest.mark.parametrize("d", range(5))
+def test_activation_values_equal_reference_bit_for_bit(act, d):
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.uniform(-30, 30, 200), [0.0, -0.0, 1e-300]])
+    np.testing.assert_array_equal(B._activation_deriv(act, x, d),
+                                  _ACTIVATION_REF[act](x, d))
+
+
+def _recurrence_loop(kind, z, m, d):
+    """Reference: the three-term recursion stepped one derivative order q
+    at a time, over a (d+1, len(z), m+1) table."""
+    z = np.asarray(z, dtype=float)
+    tab = np.zeros((d + 1, z.shape[0], m + 1))
+    tab[0, :, 0] = 1.0
+    for k in range(m):
+        alpha, beta, s, c = B._THREE_TERM[kind](k)
+        w = beta + alpha * z
+        for q in range(d + 1):
+            lower = tab[q - 1, :, k] if q >= 1 else 0.0
+            prev = tab[q, :, k - 1] if k >= 1 else 0.0
+            nxt = w * tab[q, :, k]
+            nxt += (q * alpha) * lower
+            nxt *= s
+            nxt -= c * prev
+            tab[q, :, k + 1] = nxt
+    return tab[d]
+
+
+@pytest.mark.parametrize("kind", sorted(B._THREE_TERM))
+@pytest.mark.parametrize("d", range(5))
+def test_recurrence_table_equals_per_order_loop(kind, d):
+    # the same operations in the same order per entry: bit-for-bit equal
+    rng = np.random.default_rng(4)
+    z = np.concatenate([[-1.0, 1.0, 0.0], np.sort(rng.uniform(-1, 1, 9)),
+                        rng.uniform(0.0, 3.0, 4)])
+    for m in (0, 1, 7, 40):
+        got = B._recurrence_table(kind, z, m, d)
+        assert got.shape == (z.size, m + 1) and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, _recurrence_loop(kind, z, m, d))
+
+
 def test_native_domains_table():
     assert B.NATIVE_DOMAINS["chebyshev"] == (-1.0, 1.0)
     assert B.NATIVE_DOMAINS["legendre"] == (-1.0, 1.0)

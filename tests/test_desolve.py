@@ -16,6 +16,7 @@ from funcon import basis as B
 from funcon import constraint_core as C
 from funcon import desolve as D
 from funcon import exprfn as E
+from funcon import multivar as M
 from funcon import problems as P
 from funcon.solvers import NllsConfig, nlls
 
@@ -251,9 +252,13 @@ def test_assembly_equals_fresh_partial_evaluations(name):
     @settings(max_examples=8, deadline=None)
     def check(seed):
         q = _random_state(bld, np.random.default_rng(seed), 0.25)
-        want_res, want_jac = _fresh_system(bld, pts, q)
-        np.testing.assert_array_equal(residual(q), want_res)
-        np.testing.assert_array_equal(jacobian(q), want_jac)
+        # and at the initial extras, whose offsets come with the rows
+        q0 = q.copy()
+        q0[bld.layout.width:] = [e.init for e in bld.problem.extras]
+        for at in (q, q0):
+            want_res, want_jac = _fresh_system(bld, pts, at)
+            np.testing.assert_array_equal(residual(at), want_res)
+            np.testing.assert_array_equal(jacobian(at), want_jac)
 
     check()
 
@@ -400,6 +405,88 @@ def test_projected_rows_equal_recursive_rows(drawn):
         assert got.grads.keys() == want.grads.keys()
         for name in want.grads:
             np.testing.assert_array_equal(got.grads[name], want.grads[name])
+
+
+class _AbsSupports:
+    """|S^(d)(x)|, the support table in absolute values."""
+
+    def __init__(self, supports):
+        self.supports = supports
+
+    def table(self, x, d):
+        return np.abs(self.supports.table(x, d))
+
+
+class _AbsKappa:
+    """|kappa|, the kappa values in absolute values."""
+
+    def __init__(self, kappa):
+        self.kappa = kappa
+
+    def eval(self, ctx, pts, orders, extras):
+        k = self.kappa.eval(ctx, pts, orders, extras)
+        return C.AffineEval(k.rows, np.abs(k.offset), {})
+
+
+def _absolute_solution(bld, pts, coef):
+    """The recursive CE's expression for u's values in absolute values:
+    each CE u = g + sum_j phi_j (kappa_j - C_j[g]) becomes |g| + sum_j
+    |S| |alpha| (|kappa_j| + |C_j| [|g|]), with |g| = |T| |coef| at the
+    leaves.  Negated operator coefficients turn the recursion's
+    subtraction into the addition of |C_j|[|g|]."""
+    feature = bld.features["u"]
+    ces = []
+    for ce in bld.ces["u"]:
+        cons = tuple(C.Constraint(
+            C.ConstraintOperator([dataclasses.replace(s, coeff=-abs(s.coeff))
+                                  for s in c.operator.specs]),
+            _AbsKappa(c.kappa)) for c in ce.constraints)
+        ces.append(dataclasses.replace(
+            ce, constraints=cons, supports=_AbsSupports(ce.supports),
+            alpha=np.abs(ce.alpha)))
+    leaves = C.CallableField(
+        lambda p, orders: np.abs(feature.eval(p, orders)) @ np.abs(coef),
+        bld.var_names, bld.problem.params)
+    zero = (0,) * len(bld.var_names)
+    return M.compose_recursive(ces, leaves).eval(pts, zero, {}).offset
+
+
+@given(_separable_problems(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+def test_projected_values_equal_recursive_values(drawn, seed):
+    # The projected path contracts coef with the projected 1-D tables and
+    # adds the offsets' CE; the recursive path runs the CE around the
+    # contraction of coef with the plain tables.  Both evaluate one
+    # multilinear expression in coef and the kappas, in different orders.
+    # Per dimension each path stays within 139 eps of the expression in
+    # absolute values, as in ``test_projected_rows_equal_recursive_rows``;
+    # the contraction adds at most sum_k (m_k + 1) additions and d
+    # products, and the offsets one addition.  So |projected - recursive|
+    # <= 2 * (139 d + sum_k (m_k + 1) + d + 1) * (eps |U| + tiny (1 +
+    # sum |coef|)), U from ``_absolute_solution``; ``tiny`` covers products
+    # that underflow.
+    problem, pts = drawn
+    try:
+        bld = D.ProblemBuild(problem)
+    except C.SingularSupportError:
+        assume(False)
+    assert "u" in bld.projections
+    feature = bld.features["u"]
+    coef = np.random.default_rng(seed).uniform(-2.0, 2.0, feature.count)
+    d = len(bld.var_names)
+    gamma = 2 * (139 * d + sum(f.degree + 1 for f in feature.families) + d + 1)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    got = bld.evaluate_solution("u", pts, coef, {})
+    solved = C.CallableField(
+        lambda p, orders: feature.values(p, orders, coef),
+        bld.var_names, problem.params)
+    want = bld.compose("u", solved).eval(pts, (0,) * d, {}).offset
+    assert got.shape == want.shape == (pts.shape[0],)
+    bound = gamma * (eps * _absolute_solution(bld, pts, coef)
+                     + tiny * (1 + np.abs(coef).sum()))
+    assert np.all(np.abs(got - want) <= bound)
 
 
 def _foreign_integral_problem():
@@ -700,6 +787,37 @@ def test_cold_balloon_assembles_once_and_matches_a_fresh_assembly(monkeypatch):
     for name, xi in rep.xi.items():
         np.testing.assert_array_equal(fresh.xi[name], xi)
     assert fresh.extras == rep.extras
+
+
+def test_offsets_at_the_initial_extras_are_evaluated_once(monkeypatch):
+    # the rows' evaluation gives the offsets at the initial extras, so
+    # ``_tag_evals`` runs only at other extras: never on the linear path
+    # nor in a cold balloon's frozen stage (extras pinned at their initial
+    # values), but for a warm start at other extras
+    calls = []
+    tag_evals = D.ProblemBuild._tag_evals
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.problem.name)
+        return tag_evals(self, *args, **kwargs)
+
+    frozen = []
+
+    def recording(*args, **kwargs):
+        before = len(calls)
+        result = nlls(*args, **kwargs)
+        frozen.append(len(calls) - before)
+        return result
+
+    monkeypatch.setattr(D.ProblemBuild, "_tag_evals", counting)
+    monkeypatch.setattr(P, "nlls", recording)
+    assert D.solve(P.simple_pde()).converged
+    assert calls == []
+    _, state = P.solve_balloon(52)
+    assert frozen == [0]
+    calls.clear()
+    P.solve_balloon(54, warm_start=state)
+    assert calls and set(calls) == {"balloon-54km"}
 
 
 def test_embedded_constraints_hold_regardless_of_convergence():

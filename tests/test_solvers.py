@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import funcon
@@ -71,10 +71,9 @@ def test_rank_deficiency_raises_for_qr_and_cholesky():
     A[:, 2] = np.arange(6)
     A[:, 1] = A[:, 0] * 2
     b = np.ones(6)
-    with pytest.raises(S.RankDeficientError):
-        S.lstsq(A, b, "qr")
-    with pytest.raises(S.RankDeficientError):
-        S.lstsq(A, b, "cholesky")
+    for method in ("qr", "scaled-qr", "cholesky"):
+        with pytest.raises(S.RankDeficientError):
+            S.lstsq(A, b, method)
     # the svd path returns the min-norm solution instead
     xi = S.lstsq(A, b, "svd-pinv")
     np.testing.assert_allclose(xi, _svd_pinv(A, b), atol=1e-10)
@@ -135,6 +134,48 @@ def test_svd_pinv_matches_explicit_svd_reference(system):
     rho = np.linalg.norm(A @ ref - b) / (kept[0] * x_norm)
     bound = 2 * kappa * eps_b / (1 - kappa * eps_b) * (2 + (kappa + 1) * rho)
     assert np.linalg.norm(got - ref) <= bound * x_norm
+
+
+def _explicit_q(A, b):
+    """Reference for the QR routes: Q formed explicitly, x = R^-1 (Q^T b)."""
+    q, r = np.linalg.qr(A)
+    return np.linalg.solve(r, q.T @ b)
+
+
+@given(_lstsq_systems().filter(lambda s: s[0].shape[0] >= s[0].shape[1]),
+       st.sampled_from(["qr", "scaled-qr"]))
+@settings(max_examples=200, deadline=None)
+def test_qr_routes_match_explicit_q_reference(system, method):
+    # Bound, fixed before running: the route and the reference are both
+    # Householder QR least squares, backward stable with relative backward
+    # error at most eps_b = 10 * max(m, n) * u, so each lies within Wedin's
+    # bound (as in the svd-pinv test above, here at full rank) of the exact
+    # solution y of the system they factor, A for qr and A D^-1 for
+    # scaled-qr (D the column norms, x = D^-1 y); they differ by at most
+    # twice that bound in y.  The route raises only when R's smallest
+    # diagonal entry is at most eps * max(m, n) times its largest, and
+    # sigma_min <= min |r_ii|, max |r_ii| <= sigma_max, so a raise needs
+    # sigma_min <= 2 * eps_b * sigma_max once R's own rounding is counted.
+    A, b = system
+    scale = np.ones(A.shape[1])
+    if method == "scaled-qr":
+        scale = np.linalg.norm(A, axis=0)
+        scale[scale == 0] = 1.0
+    As = A / scale
+    s = np.linalg.svd(As, compute_uv=False)
+    eps_b = 10 * max(A.shape) * np.finfo(float).eps
+    try:
+        got = S.lstsq(A, b, method) * scale
+    except S.RankDeficientError:
+        assert s[-1] <= 2 * eps_b * s[0]
+        return
+    ref = _explicit_q(As, b)
+    kappa = s[0] / s[-1]
+    assume(kappa * eps_b < 0.5)
+    y_norm = np.linalg.norm(ref)
+    rho = np.linalg.norm(As @ ref - b) / (s[0] * y_norm)
+    bound = 2 * kappa * eps_b / (1 - kappa * eps_b) * (2 + (kappa + 1) * rho)
+    assert np.linalg.norm(got - ref) <= bound * y_norm
 
 
 def test_importing_funcon_loads_no_scipy():
