@@ -252,6 +252,10 @@ def _term(t, path, names):
                            "integral_over"))
     if "at" not in t and "integral" not in t:
         raise ConfigError(f"{path}: needs 'at' or 'integral'")
+    mixed = [key for key in ("at", "order", "integral_over") if key in t]
+    if "integral" in t and mixed:
+        raise ConfigError(f"{path}: 'integral' cannot be combined with "
+                          f"{', '.join(map(repr, mixed))}")
     _number(t.get("coeff", 1.0), f"{path}.coeff")
     if "integral" in t:
         _pair(t["integral"], f"{path}.integral")

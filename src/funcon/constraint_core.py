@@ -8,10 +8,12 @@ expression is
 
     y(x, g) = g(x) + sum_j phi_j(x) * (kappa_j - C_j[g]).
 
-One routine, ``apply_operator_columns``, applies an operator to an
-evaluable f(x, d) -> (n, cols) along its own variable; support matrices,
-scalar probes (``apply_operator``) and the operators applied to a basis
-table (C[T], for projected-table assembly) all go through it.
+An operator's discretization is its quadrature rule,
+``ConstraintOperator.taps``, and every application walks it:
+``apply_operator_columns`` on evaluables f(x, d) -> (n, cols) along the
+operator's own variable (support matrices, scalar probes through
+``apply_operator``, C[T] for projected-table assembly), and
+``_apply_op_to_field`` on the recursive CE's fields.
 
 Fields evaluate in an *affine-in-xi* representation: an evaluation of a
 field at N points returns rows (N, width), an offset (N,), and the offset's
@@ -29,8 +31,8 @@ are immutable and evaluation is reentrant.
 The recursive route applies each operator C_j (along x_k) to the inner
 field at the distinct points of the other coordinates only: rho_j =
 kappa_j - C_j[g] is constant in x_k, so on a grid with n_k nodes along x_k
-the inner field is evaluated at n / n_k points per term and quadrature
-node, and the results are gathered back to every row.
+the inner field is evaluated at n / n_k points per tap, and the results
+are gathered back to every row.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ __all__ = [
     "solve_switching",
     "apply_operator",
     "apply_operator_columns",
-    "projection_value",
     "evaluate_ce",
     "AffineEval",
     "UnknownLayout",
@@ -68,7 +69,6 @@ __all__ = [
     "CallableField",
     "CEField",
     "gauss_legendre",
-    "ExprFunction1D",
 ]
 
 _GL_CACHE: dict = {}
@@ -127,44 +127,76 @@ class DefiniteIntegral:
 
 @dataclass(frozen=True)
 class ConstraintOperator:
-    """Linear functional: weighted sum of evaluation specs."""
+    """Linear functional: weighted sum of evaluation specs.
+
+    ``taps`` is its quadrature rule, built once and walked by every
+    application: per spec, a tuple of (weight, own-dimension order, own
+    coordinate, ((foreign dim, node), ...)).  A point term is one tap of
+    weight coeff; each integral, own-dimension or foreign, takes 64-node
+    Gauss-Legendre quadrature, its weights multiplied into coeff."""
 
     specs: tuple
+    taps: tuple = dc_field(init=False, repr=False, compare=False)
 
     def __init__(self, specs):
         specs = tuple(specs)
         if not specs:
             raise ValueError("a constraint operator needs at least one term")
         object.__setattr__(self, "specs", specs)
+        object.__setattr__(self, "taps", tuple(map(self._rule, specs)))
+
+    @staticmethod
+    def _rule(s):
+        if isinstance(s, DefiniteIntegral):
+            nodes, w = gauss_legendre(s.lower, s.upper)
+            return tuple((s.coeff * wt, 0, t, ()) for t, wt in zip(nodes, w))
+        taps = ((s.coeff, s.order, s.location, ()),)
+        for j, lo, hi in s.foreign:
+            nodes, w = gauss_legendre(lo, hi)
+            taps = tuple((weight * wt, d, x, foreign + ((j, t),))
+                         for weight, d, x, foreign in taps
+                         for t, wt in zip(nodes, w))
+        return taps
 
 
-def apply_operator_columns(op: ConstraintOperator, f, integral=None):
-    """C[f_c] for every column c of an evaluable along the operator's own
-    variable: ``f(x, d)`` gives the d-th derivatives at the points ``x``,
-    shape (len(x), cols).  Definite integrals use ``integral(a, b)`` (one
-    value per column) when given and 64-node Gauss-Legendre quadrature
-    otherwise.  Foreign integrals scale by the interval length, since f has
-    no other variables.  Returns shape (cols,)."""
-    total = 0.0
-    for s in op.specs:
-        if isinstance(s, PointDeriv):
-            val = s.coeff * f(np.array([s.location]), s.order)[0]
-            for _, lo, hi in s.foreign:
-                val *= hi - lo
-            total = total + val
-        elif integral is not None:
-            total = total + s.coeff * integral(s.lower, s.upper)
-        else:
-            x, w = gauss_legendre(s.lower, s.upper)
-            total = total + s.coeff * (w @ f(x, 0))
-    return total
+def apply_operator_columns(ops, f, integral=None):
+    """C[f_c] for each operator C of ``ops`` and every column c of an
+    evaluable along the operators' own variable: ``f(x, d)`` gives the d-th
+    derivatives at the points ``x``, shape (len(x), cols), and is called
+    once per derivative order at all of the operators' taps.  Definite
+    integrals use ``integral(a, b)`` (one value per column) instead of
+    their taps when it is given.  Foreign nodes are ignored, since f has no
+    other variables: their weights sum to the interval's length.  Returns
+    shape (len(ops), cols)."""
+    def hooked(s):
+        return integral is not None and isinstance(s, DefiniteIntegral)
+
+    points = {}  # derivative order -> tap coordinates, in walking order
+    for op in ops:
+        for s, taps in zip(op.specs, op.taps):
+            if not hooked(s):
+                for _, d, x, _ in taps:
+                    points.setdefault(d, []).append(x)
+    values = {d: iter(f(np.array(x, dtype=float), d))
+              for d, x in points.items()}
+    rows = []
+    for op in ops:
+        total = 0.0
+        for s, taps in zip(op.specs, op.taps):
+            if hooked(s):
+                total = total + s.coeff * integral(s.lower, s.upper)
+            else:
+                for weight, d, _, _ in taps:
+                    total = total + weight * next(values[d])
+        rows.append(total)
+    return np.array(rows)
 
 
 def apply_operator(op: ConstraintOperator, f) -> float:
-    """Apply a constraint operator to a univariate evaluable.
+    """Apply a constraint operator to a univariate evaluable at its taps.
 
-    ``f`` must provide ``deriv(x, d)``; definite integrals use ``f.integral(a, b)``
-    when available and 64-node Gauss-Legendre quadrature otherwise.
+    ``f`` must provide ``deriv(x, d)``; definite integrals use
+    ``f.integral(a, b)`` instead when it is available.
     """
     def column(x, d):
         return np.array([[f.deriv(t, d)] for t in x.tolist()], dtype=float)
@@ -173,7 +205,7 @@ def apply_operator(op: ConstraintOperator, f) -> float:
     if hasattr(f, "integral"):
         def integral(a, b):
             return np.array([f.integral(a, b)], dtype=float)
-    return float(apply_operator_columns(op, column, integral)[0])
+    return float(apply_operator_columns([op], column, integral)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +379,10 @@ def support_matrix(constraints, supports: MonomialSupports,
                    extra_conditions=()) -> np.ndarray:
     """S_ij = C_i[s_j]; extra integral-augmentation conditions are stacked as
     additional rows (each a plain definite integral over this dimension)."""
-    rows = [apply_operator_columns(c.operator, supports.table,
-                                   supports.integrals) for c in constraints]
-    rows += [supports.integrals(lo, hi) for lo, hi in extra_conditions]
-    return np.vstack(rows)
+    ops = [c.operator for c in constraints]
+    ops += [ConstraintOperator([DefiniteIntegral(lo, hi)])
+            for lo, hi in extra_conditions]
+    return apply_operator_columns(ops, supports.table, supports.integrals)
 
 
 _COND_LIMIT = 1e12
@@ -567,61 +599,38 @@ def _apply_op_to_field(op: ConstraintOperator, inner: Field, pts, orders, k,
                        extras) -> AffineEval:
     """C^k_j applied to a multivariate field, with cross-derivative orders for
     the other dimensions carried through (the own-dimension order is set by
-    each spec; the result is constant in x_k).
+    each tap; the result is constant in x_k): the sum over the operator's
+    taps of the weight times the inner field at the tap's coordinates.  A
+    tap integrated over a dimension the orders differentiate is constant
+    along it and drops out.
 
     Being constant in x_k, the result is computed once per distinct point of
     the other coordinates and gathered back to every row: on a grid of n
     points with n_k nodes along x_k the inner field is evaluated at n / n_k
-    points per spec and quadrature node, not at n."""
+    points per tap, not at n."""
+    n = pts.shape[0]
     first, inverse = _distinct_rows(pts, k)
-    repeated = len(first) < pts.shape[0]
+    repeated = len(first) < n
     if repeated:
         pts = pts[first]
-    n = pts.shape[0]
-    out = _zero(n, inner.width)
-    for s in op.specs:
-        if isinstance(s, PointDeriv):
-            if any(orders[j] for j, _, _ in s.foreign):
-                continue  # integrated out: constant along foreign dims
-            orders2 = list(orders)
-            orders2[k] = s.order
-            pts2 = pts.copy()
-            pts2[:, k] = s.location
-            contrib = _foreign_integrate(inner, pts2, tuple(orders2),
-                                         list(s.foreign), extras)
-            out = _ae_add(out, _ae_scale(contrib, s.coeff))
-        else:
-            if orders[k] != 0:
-                raise AssertionError("integral spec evaluated with own-dim order")
-            nodes, w = gauss_legendre(s.lower, s.upper)
-            orders2 = list(orders)
-            orders2[k] = 0
-            acc = _zero(n, inner.width)
-            for t, wt in zip(nodes, w):
-                pts2 = pts.copy()
-                pts2[:, k] = t
-                acc = _ae_add(acc, _ae_scale(
-                    inner.eval(pts2, tuple(orders2), extras), wt))
-            out = _ae_add(out, _ae_scale(acc, s.coeff))
+    out = None
+    for weight, d, x, foreign in (t for taps in op.taps for t in taps):
+        if any(orders[j] for j, _ in foreign):
+            continue
+        orders2 = list(orders)
+        orders2[k] = d
+        pts2 = pts.copy()
+        pts2[:, k] = x
+        for j, t in foreign:
+            pts2[:, j] = t
+        term = _ae_scale(inner.eval(pts2, tuple(orders2), extras), weight)
+        out = term if out is None else _ae_add(out, term)
+    if out is None:
+        return _zero(n, inner.width)
     if repeated:
         out = AffineEval(out.rows[inverse], out.offset[inverse],
                          {name: g[inverse] for name, g in out.grads.items()})
     return out
-
-
-def _foreign_integrate(inner, pts, orders, foreign, extras) -> AffineEval:
-    if not foreign:
-        return inner.eval(pts, orders, extras)
-    j, lo, hi = foreign[0]
-    rest = foreign[1:]
-    nodes, w = gauss_legendre(lo, hi)
-    acc = _zero(pts.shape[0], inner.width)
-    for t, wt in zip(nodes, w):
-        pts2 = pts.copy()
-        pts2[:, j] = t
-        acc = _ae_add(acc, _ae_scale(
-            _foreign_integrate(inner, pts2, orders, rest, extras), wt))
-    return acc
 
 
 class CEField(Field):
@@ -654,42 +663,19 @@ class CEField(Field):
 # ---------------------------------------------------------------------------
 # univariate convenience layer (the 1-D API used by tests and the ODE path)
 
-class ExprFunction1D:
-    """Univariate evaluable-with-derivatives built from an expression."""
-
-    def __init__(self, expr, var="x", params=None):
-        if isinstance(expr, str):
-            expr = exprfn.parse(expr)
-        self.expr = expr
-        self.var = var
-        self.params = dict(params or {})
-        self._dcache = {0: expr}
-
-    def deriv(self, x, d):
-        if d not in self._dcache:
-            self._dcache[d] = exprfn.differentiate(self.expr, self.var, d)
-        bindings = dict(self.params)
-        bindings[self.var] = x
-        return exprfn.evaluate(self._dcache[d], bindings)
-
-
-def projection_value(c: Constraint, g) -> float:
-    """rho = kappa - C[g] for a univariate probe; kappa must be constant here."""
-    if not isinstance(c.kappa, ConstKappa):
-        raise ValueError("projection_value expects a constant kappa; component "
-                         "and expression kappas are evaluated through fields")
-    return c.kappa.value - apply_operator(c.operator, g)
-
-
 def evaluate_ce(ce: UnivariateCE, g, x, d=0):
     """y^(d)(x) for a univariate CE and probe free function g.
 
-    ``g`` provides deriv(x, d) (and optionally integral(a, b)).  Returns a
-    scalar for scalar x, an array otherwise.
+    ``g`` provides deriv(x, d) (and optionally integral(a, b)); every kappa
+    must be constant.  Returns a scalar for scalar x, an array otherwise.
     """
+    if not all(isinstance(c.kappa, ConstKappa) for c in ce.constraints):
+        raise ValueError("evaluate_ce expects constant kappas; component and "
+                         "expression kappas are evaluated through fields")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     phi = ce.switching(x_arr, d=d)
-    rho = np.array([projection_value(c, g) for c in ce.constraints])
+    rho = np.array([c.kappa.value - apply_operator(c.operator, g)
+                    for c in ce.constraints])
     out = np.asarray([g.deriv(t, d) for t in x_arr], dtype=float) + phi @ rho
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(out[0])

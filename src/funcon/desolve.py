@@ -70,7 +70,6 @@ from funcon.constraint_core import (
     _apply_op_to_field,
     apply_operator_columns,
     as_kappa,
-    gauss_legendre,
 )
 from funcon.exprfn import Expr
 from funcon.solvers import NllsConfig, lstsq, nlls
@@ -476,32 +475,13 @@ class ProblemBuild:
 
 def _operators_on_table(ce, feature):
     """C_j[T_i] for the full 1-D basis table T of ``feature`` along ce.dim,
-    shape (constraints, degree + 1); integrals by Gauss-Legendre
-    quadrature, as the recursive CE takes them.  The table is evaluated
-    once per derivative order, at every location and quadrature node of
-    that order (the recurrences act on each point alone)."""
+    shape (constraints, degree + 1), at the operators' taps, as the
+    recursive CE takes them.  The table is evaluated once per derivative
+    order (the recurrences act on each point alone)."""
     fam, dmap = feature.families[ce.dim], feature.maps[ce.dim]
-    wanted = {}  # derivative order -> points
-    for c in ce.constraints:
-        for s in c.operator.specs:
-            if isinstance(s, PointDeriv):
-                wanted.setdefault(s.order, []).append(s.location)
-            else:
-                wanted.setdefault(0, []).extend(
-                    gauss_legendre(s.lower, s.upper)[0])
-    tables = {}
-    for d, x in wanted.items():
-        x = np.array(x, dtype=float)
-        # keyed by the bits of each point, so 0.0 and -0.0 stay apart
-        tables[d] = ({t.hex(): i for i, t in enumerate(x.tolist())},
-                     eval_basis(fam, dmap, x, d, full=True))
-
-    def table(x, d):
-        index, rows = tables[d]
-        return rows[[index[t.hex()] for t in x.tolist()]]
-
-    return np.vstack([apply_operator_columns(c.operator, table)
-                      for c in ce.constraints])
+    return apply_operator_columns(
+        [c.operator for c in ce.constraints],
+        lambda x, d: eval_basis(fam, dmap, x, d, full=True))
 
 
 def _mesh(axes):

@@ -254,6 +254,10 @@ def _duplicate_constraint(doc):
     (lambda doc: doc.update(params={"c": 1.0},
                             extras=[{"name": "c", "init": 0.0}]),
      ("config error", "extras[0].name", "'c'", "params.c")),
+    # once silently reduced to the integral alone
+    (_first_constraint(terms=[{"integral": [0, 1], "at": 0.0, "order": 1}]),
+     ("config error", "dependent[0].constraints[0].terms[0]",
+      "'integral' cannot be combined with 'at', 'order'")),
 ])
 def test_problem_errors_named_without_traceback(tmp_path, runner, edit,
                                                 fragments):

@@ -31,6 +31,20 @@ class PolyProbe:
         return float(q(b) - q(a))
 
 
+class ExprProbe:
+    """Evaluable with derivatives from an expression in x (no integral, so
+    operators take their integrals at their quadrature taps)."""
+
+    def __init__(self, source):
+        self.expr = E.parse(source)
+        self._derivs = {0: self.expr}
+
+    def deriv(self, x, d):
+        if d not in self._derivs:
+            self._derivs[d] = E.differentiate(self.expr, "x", d)
+        return E.evaluate(self._derivs[d], {"x": x})
+
+
 # ---------------------------------------------------------------------------
 # constraint operators
 
@@ -73,6 +87,142 @@ def test_operator_linearity_probe():
         a = rng.uniform(-2, 2)
         assert C.apply_operator(op, PolyProbe(a * f.p.coef)) == \
             pytest.approx(a * C.apply_operator(op, f), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the quadrature rule (``ConstraintOperator.taps``) against closed forms
+#
+# 64 Gauss-Legendre nodes integrate polynomials of degree <= 127 exactly, so
+# on polynomials the taps differ from the closed forms by rounding alone.
+# Bound written before the first run: 128 (eps R + tiny), R the majorant of
+# each closed form (absolute coefficients, each integral over [lo, hi]
+# replaced by (hi - lo) max(|lo|, |hi|)^e, which bounds both sides' terms).
+# It covers, per tap, a few eps in leggauss's nodes and weights (a node's
+# error scaled by the degree, at most 7 here), the 3 roundings mapping them
+# to [lo, hi], at most 12 in evaluating a monomial term and one in the
+# weight, plus 63 for summing 64 taps and about 10 in the closed form:
+# about 100 roundings of R.
+
+_TAP_BOUND = 128
+
+
+def _monomial_factor(e, axis):
+    """(closed form, majorant) of one variable's factor x^e in a monomial:
+    ``axis`` is ("at", value, derivative order) or ("over", lo, hi)."""
+    if axis[0] == "over":
+        _, lo, hi = axis
+        return ((hi ** (e + 1) - lo ** (e + 1)) / (e + 1),
+                (hi - lo) * max(abs(lo), abs(hi)) ** e)
+    _, v, d = axis
+    if d > e:
+        return 0.0, 0.0
+    ff = math.prod(range(e - d + 1, e + 1))
+    return ff * v ** (e - d), ff * abs(v) ** (e - d)
+
+
+def _polynomial_closed_form(coefs, coeff, axes):
+    """coeff times the polynomial sum c x^p y^q z^r of ``coefs`` ({(p, q,
+    r): c}) with each variable fixed, differentiated or integrated as its
+    axis says: (closed form, majorant)."""
+    exact = major = 0.0
+    for powers, c in coefs.items():
+        factors = [_monomial_factor(e, a) for e, a in zip(powers, axes)]
+        exact += c * math.prod(f for f, _ in factors)
+        major += abs(c) * math.prod(m for _, m in factors)
+    return coeff * exact, abs(coeff) * major
+
+
+@st.composite
+def _polynomials(draw):
+    """A random polynomial in x, y, z of degree <= 3 per variable, as
+    {(p, q, r): coefficient} and as an expression."""
+    coefs = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * 3),
+        st.integers(-5, 5).filter(bool).map(float), min_size=1, max_size=6))
+    source = " + ".join(f"{c!r}*x^{p}*y^{q}*z^{r}"
+                        for (p, q, r), c in coefs.items())
+    return coefs, C.ExprField(E.parse(source), ("x", "y", "z"))
+
+
+_interval = st.tuples(st.floats(-2.0, 0.0), st.floats(0.25, 2.0))
+_coordinate = st.floats(-2.0, 2.0)
+_coeff = st.floats(0.5, 2.0) | st.floats(-2.0, -0.5)
+
+
+def _within_tap_bound(got, want, major):
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    assert np.all(np.abs(got - want) <= _TAP_BOUND * (eps * major + tiny))
+
+
+@given(_polynomials(), _interval, _coeff,
+       st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=4),
+       st.integers(0, 2), st.integers(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_own_integral_taps_equal_closed_form(poly, interval, coeff, yz,
+                                             dy, dz):
+    # coeff * int_lo^hi d^dy/dy^dy d^dz/dz^dz f(x, y, z) dx, at rows whose
+    # x differs (the result is constant in x)
+    (coefs, field), (lo, hi) = poly, interval
+    op = C.ConstraintOperator([C.DefiniteIntegral(lo, hi, coeff)])
+    pts = np.array([(0.5 * i, y, z) for i, (y, z) in enumerate(yz)])
+    got = C._apply_op_to_field(op, field, pts, (0, dy, dz), 0, None).offset
+    for row, (y, z) in zip(got, yz):
+        want, major = _polynomial_closed_form(
+            coefs, coeff, [("over", lo, hi), ("at", y, dy), ("at", z, dz)])
+        _within_tap_bound(row, want, major)
+
+
+@given(_polynomials(), _coordinate, st.integers(0, 2), _coeff, _interval,
+       _interval, st.lists(_coordinate, min_size=1, max_size=3),
+       st.integers(0, 2), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_integral_over_taps_equal_closed_form(poly, at, dx, coeff, over_y,
+                                              over_z, zs, dz, both):
+    # coeff * int d^dx/dx^dx f(at, y, z) dy (and dz when ``both``): an
+    # ``integral_over`` term on x, with z's derivative order carried through
+    # when z is not integrated
+    coefs, field = poly
+    foreign = ((1, *over_y),) + (((2, *over_z),) if both else ())
+    op = C.ConstraintOperator([C.PointDeriv(dx, at, coeff, foreign)])
+    pts = np.array([(0.25, 0.5, z) for z in zs])
+    orders = (0, 0, 0 if both else dz)
+    got = C._apply_op_to_field(op, field, pts, orders, 0, None).offset
+    for row, z in zip(got, zs):
+        want, major = _polynomial_closed_form(
+            coefs, coeff, [("at", at, dx), ("over", *over_y),
+                           ("over", *over_z) if both else ("at", z, dz)])
+        _within_tap_bound(row, want, major)
+    # a derivative along an integrated dimension drops the term
+    zero = C._apply_op_to_field(op, field, pts, (0, 1, 0), 0, None)
+    assert not np.any(zero.offset) and zero.rows.shape == (len(zs), 0)
+
+
+@given(st.integers(1, 8), _interval, _coeff, _coordinate, st.integers(0, 3),
+       _interval)
+@settings(max_examples=60, deadline=None)
+def test_operator_columns_without_hook_equal_exact_integrals(
+        k, interval, coeff, at, d, over):
+    # the taps of an own-dimension integral against exact monomial
+    # integrals, and a foreign integral's taps (their nodes ignored: f has
+    # no other variables) against the interval's length
+    supports = C.MonomialSupports.default(k)
+    (lo, hi), (flo, fhi) = interval, over
+    ops = [C.ConstraintOperator([C.DefiniteIntegral(lo, hi, coeff)]),
+           C.ConstraintOperator([C.PointDeriv(d, at, coeff,
+                                              ((1, flo, fhi),))])]
+    got = C.apply_operator_columns(ops, supports.table)
+    assert got.shape == (2, k)
+    for p in range(k):
+        want, major = _polynomial_closed_form(
+            {(p, 0, 0): 1.0}, coeff, [("over", lo, hi)] + [("at", 0.0, 0)] * 2)
+        _within_tap_bound(got[0, p], want, major)
+        want, major = _polynomial_closed_form(
+            {(p, 0, 0): 1.0}, coeff,
+            [("at", at, d), ("over", flo, fhi), ("at", 0.0, 0)])
+        _within_tap_bound(got[1, p], want, major)
+    np.testing.assert_array_equal(
+        C.apply_operator_columns(ops[:1], supports.table, supports.integrals),
+        coeff * supports.integrals(lo, hi)[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +304,7 @@ def test_switching_functions_integral_example():
 def test_single_constraint_ce():
     # y(0) = kappa with s = {1}: y = g + kappa - g(0)
     ce = C.build_univariate_ce([C.Constraint.point(4.0, 0.0)])
-    g = C.ExprFunction1D("x^3 + 2*x")
+    g = ExprProbe("x^3 + 2*x")
     for x in np.linspace(-1, 1, 7):
         assert C.evaluate_ce(ce, g, x) == pytest.approx(
             g.deriv(x, 0) + 4.0 - g.deriv(0.0, 0), abs=1e-14)
@@ -167,14 +317,24 @@ def test_projection_value_worked_example():
     con = C.Constraint(C.ConstraintOperator([C.PointDeriv(0, 2.0, 2.0),
                                              C.PointDeriv(2, 0.0, math.pi)]),
                        C.ConstKappa(3.0))
-    rho = C.projection_value(con, PolyProbe([0, 0, 1]))
+    rho = con.kappa.value - C.apply_operator(con.operator,
+                                             PolyProbe([0, 0, 1]))
     assert rho == pytest.approx(3 - (8 + 2 * math.pi), abs=1e-14)
 
 
 def test_projection_zero_when_constraint_satisfied():
     con = C.Constraint.point(5.0, 1.0)  # y(1) = 5
     g = PolyProbe([3, 2])  # 3 + 2x -> g(1) = 5
-    assert C.projection_value(con, g) == pytest.approx(0.0, abs=1e-14)
+    assert con.kappa.value - C.apply_operator(con.operator, g) == \
+        pytest.approx(0.0, abs=1e-14)
+
+
+def test_evaluate_ce_rejects_non_constant_kappa():
+    con = C.Constraint(C.ConstraintOperator([C.PointDeriv(0, 0.0)]),
+                       C.ExprKappa(E.parse("2*p")))
+    ce = C.build_univariate_ce([con])
+    with pytest.raises(ValueError, match="constant kappas"):
+        C.evaluate_ce(ce, PolyProbe([1, 2]), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +353,7 @@ class CEProbe:
 
 def test_ce_forces_constraints():
     ce = C.build_univariate_ce(POINT_CONSTRAINTS, C.MonomialSupports([0, 2, 3]))
-    g = C.ExprFunction1D("sin(2*x) + x^4")
+    g = ExprProbe("sin(2*x) + x^4")
     assert C.evaluate_ce(ce, g, 0.0) == pytest.approx(1.0, abs=1e-13)
     assert C.evaluate_ce(ce, g, 1.0, d=1) == pytest.approx(2.0, abs=1e-13)
     assert C.evaluate_ce(ce, g, 2.0) == pytest.approx(3.0, abs=1e-13)
@@ -201,7 +361,7 @@ def test_ce_forces_constraints():
 
 def test_ce_projection_idempotence():
     ce = C.build_univariate_ce(POINT_CONSTRAINTS, C.MonomialSupports([0, 2, 3]))
-    g0 = C.ExprFunction1D("x^3")
+    g0 = ExprProbe("x^3")
     once = CEProbe(ce, g0)
     rng = np.random.default_rng(3)
     for x in rng.uniform(-1, 3, 20):

@@ -359,9 +359,9 @@ def _absolute_rows(bld, pts, orders):
         tab = table(pts[:, k], orders[k])
         if k in bld.projections["u"]:
             ce, _ = bld.projections["u"][k]
-            applied = np.vstack([C.apply_operator_columns(C.ConstraintOperator(
+            applied = C.apply_operator_columns([C.ConstraintOperator(
                 [dataclasses.replace(s, coeff=abs(s.coeff))
-                 for s in c.operator.specs]), table) for c in ce.constraints])
+                 for s in c.operator.specs]) for c in ce.constraints], table)
             switching = np.abs(ce.supports.table(pts[:, k], orders[k])) \
                 @ np.abs(ce.alpha)
             tab = tab + switching @ applied
