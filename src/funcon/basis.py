@@ -445,7 +445,7 @@ class ElmFeature:
         for k, d in enumerate(orders):
             if d:
                 scale = scale * (self.family.weights[:, k] * self.maps[k].slope) ** d
-        return vals * scale
+        return vals * scale if total else vals
 
     def values(self, pts: np.ndarray, orders, coef) -> np.ndarray:
         """Mixed partial of h(x)^T coef, shape (npoints,); random features

@@ -287,6 +287,9 @@ def _basis_from_config(item, path, names):
                        _integer(item.get("seed", 0), f"{path}.seed", 0),
                        _pair(item.get("init_range", [-1.0, 1.0]),
                              f"{path}.init_range"))
+    if family in ("laguerre", "hermite-prob", "hermite-phys"):
+        raise ConfigError(f"{path}.family: {family!r} needs a finite window, "
+                          "which only the library API sets (BasisSpec.window)")
     removal = {}
     for k, v in _mapping(item.get("removal"), f"{path}.removal",
                          names).items():

@@ -17,12 +17,13 @@ operator's own variable (support matrices, scalar probes through
 
 Fields evaluate in an *affine-in-xi* representation: an evaluation of a
 field at N points returns rows (N, width), an offset (N,), and the offset's
-gradients with respect to named scalar extras.  The expression is one
-linear map for any free function g: around a ``FeatureField`` h(x)^T xi its
-rows are coefficient rows; around a zero-width ``CallableField`` the offset
-holds plain values (the kappa terms for g = 0, the solution for a solved
-h(x)^T xi).  A ``separable`` CE (no augmentation rows, foreign integrals or
-component kappas) acts on functions of its own variable alone, so around a
+gradients with respect to named scalar extras, with no rows (None, read as
+zero) when it does not depend on xi.  The expression is one linear map for
+any free function g: around a ``FeatureField`` h(x)^T xi its rows are
+coefficient rows; around a ``CallableField`` the offset holds plain values
+(the kappa terms for g = 0, the solution for a solved h(x)^T xi).  A
+``separable`` CE (no augmentation rows, foreign integrals or component
+kappas) acts on functions of its own variable alone, so around a
 tensor-product basis its coefficient rows come from the projected 1-D table
 T - phi (C T) (see ``basis.TensorFeature``); the recursive ``CEField`` is
 the general route and the fallback for the other cases.  Built expressions
@@ -216,11 +217,8 @@ class ConstKappa:
     value: float
 
     def eval(self, ctx, pts, orders, extras):
-        n = pts.shape[0]
-        if any(orders):
-            return _zero(n, ctx.width)
-        return AffineEval(np.zeros((n, ctx.width)),
-                          np.full(n, float(self.value)), {})
+        value = 0.0 if any(orders) else float(self.value)
+        return AffineEval(None, np.full(pts.shape[0], value), {})
 
 
 @dataclass(frozen=True)
@@ -262,7 +260,7 @@ class ExprKappa:
                     grads[name] = np.broadcast_to(
                         np.asarray(exprfn.evaluate(ge, bindings), dtype=float),
                         (n,)).copy()
-        return AffineEval(np.zeros((n, ctx.width)), off, grads)
+        return AffineEval(None, off, grads)
 
 
 @dataclass(frozen=True)
@@ -464,31 +462,34 @@ def build_univariate_ce(constraints, supports=None, dim=0,
 
 @dataclass
 class AffineEval:
-    """u = rows @ xi + offset, with d(offset)/d(extra) per named extra."""
+    """u = rows @ xi + offset, with d(offset)/d(extra) per named extra;
+    ``rows`` is None (zero) when u does not depend on xi."""
 
-    rows: np.ndarray
+    rows: np.ndarray | None
     offset: np.ndarray
     grads: dict
 
     def value(self, xi):
-        return self.rows @ xi + self.offset
+        return (0.0 if self.rows is None else self.rows @ xi) + self.offset
 
 
-def _zero(n, width):
-    return AffineEval(np.zeros((n, width)), np.zeros(n), {})
+def _zero(n):
+    return AffineEval(None, np.zeros(n), {})
 
 
 def _ae_add(a: AffineEval, b: AffineEval) -> AffineEval:
     grads = dict(a.grads)
     for k, v in b.grads.items():
         grads[k] = grads[k] + v if k in grads else v
-    return AffineEval(a.rows + b.rows, a.offset + b.offset, grads)
+    rows = b.rows if a.rows is None else \
+        a.rows if b.rows is None else a.rows + b.rows
+    return AffineEval(rows, a.offset + b.offset, grads)
 
 
 def _ae_scale(a: AffineEval, s) -> AffineEval:
     s = np.asarray(s)
     mul = s[:, None] if s.ndim == 1 else s
-    return AffineEval(a.rows * mul, a.offset * s,
+    return AffineEval(None if a.rows is None else a.rows * mul, a.offset * s,
                       {k: v * s for k, v in a.grads.items()})
 
 
@@ -514,10 +515,9 @@ class UnknownLayout:
 
 @dataclass(frozen=True)
 class FieldContext:
-    """Shared evaluation context: variable names, layout width, parameters."""
+    """Shared evaluation context: variable names and parameters."""
 
     var_names: tuple
-    width: int
     params: dict = dc_field(default_factory=dict)
 
 
@@ -527,21 +527,18 @@ class Field:
     def __init__(self, ctx: FieldContext):
         self.ctx = ctx
 
-    @property
-    def width(self):
-        return self.ctx.width
-
     def eval(self, pts, orders, extras=None) -> AffineEval:
         raise NotImplementedError
 
 
 class FeatureField(Field):
-    """Free function g = h(x)^T xi occupying one slice of the layout."""
+    """Free function g = h(x)^T xi in one slice of ``width`` coefficients."""
 
-    def __init__(self, ctx, feature, col_slice):
+    def __init__(self, ctx, feature, col_slice, width):
         super().__init__(ctx)
         self.feature = feature
         self.col_slice = col_slice
+        self.width = width
 
     def eval(self, pts, orders, extras=None):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -553,9 +550,8 @@ class FeatureField(Field):
 class ExprField(Field):
     """Probe field from a symbolic expression (no coefficients)."""
 
-    def __init__(self, expr: Expr, var_names, params=None, width=0):
-        super().__init__(FieldContext(tuple(var_names), width, dict(params or {})))
-        self.expr = expr
+    def __init__(self, expr: Expr, var_names, params=None):
+        super().__init__(FieldContext(tuple(var_names), dict(params or {})))
         self._kappa = ExprKappa(expr)
 
     def eval(self, pts, orders, extras=None):
@@ -568,13 +564,13 @@ class CallableField(Field):
     kappas of constrained expressions composed around it."""
 
     def __init__(self, fn, var_names, params=None):
-        super().__init__(FieldContext(tuple(var_names), 0, dict(params or {})))
+        super().__init__(FieldContext(tuple(var_names), dict(params or {})))
         self.fn = fn
 
     def eval(self, pts, orders, extras=None):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         off = np.asarray(self.fn(pts, orders), dtype=float).reshape(pts.shape[0])
-        return AffineEval(np.zeros((pts.shape[0], self.width)), off, {})
+        return AffineEval(None, off, {})
 
 
 def _distinct_rows(pts, k):
@@ -626,9 +622,10 @@ def _apply_op_to_field(op: ConstraintOperator, inner: Field, pts, orders, k,
         term = _ae_scale(inner.eval(pts2, tuple(orders2), extras), weight)
         out = term if out is None else _ae_add(out, term)
     if out is None:
-        return _zero(n, inner.width)
+        return _zero(n)
     if repeated:
-        out = AffineEval(out.rows[inverse], out.offset[inverse],
+        rows = None if out.rows is None else out.rows[inverse]
+        out = AffineEval(rows, out.offset[inverse],
                          {name: g[inverse] for name, g in out.grads.items()})
     return out
 

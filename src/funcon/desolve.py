@@ -250,8 +250,7 @@ class ProblemBuild:
             features[dep.name] = self._feature_for(dep, cons_by_dim)
         self.layout = UnknownLayout(tuple(features),
                                     tuple(f.count for f in features.values()))
-        self.ctx = FieldContext(self.var_names, self.layout.width,
-                                dict(problem.params))
+        self.ctx = FieldContext(self.var_names, dict(problem.params))
 
         self.features, self.constraints = features, constraints
         zero = CallableField(lambda pts, orders: np.zeros(len(pts)),
@@ -269,7 +268,8 @@ class ProblemBuild:
             # processed univariate CEs in processing order; none in spectral
             self.ces[dep.name] = tuple(ces[k] for k in order.order if k in ces)
             self.fields[dep.name] = self.compose(dep.name, FeatureField(
-                self.ctx, features[dep.name], self.layout.slice_of(dep.name)))
+                self.ctx, features[dep.name], self.layout.slice_of(dep.name),
+                self.layout.width))
             self.offsets[dep.name] = self.compose(dep.name, zero)
             feature = features[dep.name]
             if isinstance(feature, TensorFeature) and all(

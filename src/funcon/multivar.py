@@ -166,7 +166,7 @@ class _RhoField(Field):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         k = self.ce.dim
         if orders[k] != 0:
-            return _zero(pts.shape[0], self.width)
+            return _zero(pts.shape[0])
         con = self.ce.constraints[self.j]
         kap = con.kappa.eval(self.ctx, pts, tuple(orders), extras)
         cg = _apply_op_to_field(con.operator, self.g, pts, tuple(orders), k, extras)
@@ -185,7 +185,7 @@ class _OpApplied(Field):
     def eval(self, pts, orders, extras=None):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if orders[self.dim] != 0:
-            return _zero(pts.shape[0], self.width)
+            return _zero(pts.shape[0])
         return _apply_op_to_field(self.op, self.inner, pts, tuple(orders),
                                   self.dim, extras)
 

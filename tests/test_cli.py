@@ -258,6 +258,10 @@ def _duplicate_constraint(doc):
     (_first_constraint(terms=[{"integral": [0, 1], "at": 0.0, "order": 1}]),
      ("config error", "dependent[0].constraints[0].terms[0]",
       "'integral' cannot be combined with 'at', 'order'")),
+    # once a problem error naming BasisSpec.window, which no config can set
+    (_basis(family="laguerre"),
+     ("config error", "dependent[0].basis.family", "'laguerre'",
+      "BasisSpec.window")),
 ])
 def test_problem_errors_named_without_traceback(tmp_path, runner, edit,
                                                 fragments):

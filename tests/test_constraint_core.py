@@ -194,7 +194,7 @@ def test_integral_over_taps_equal_closed_form(poly, at, dx, coeff, over_y,
         _within_tap_bound(row, want, major)
     # a derivative along an integrated dimension drops the term
     zero = C._apply_op_to_field(op, field, pts, (0, 1, 0), 0, None)
-    assert not np.any(zero.offset) and zero.rows.shape == (len(zs), 0)
+    assert not np.any(zero.offset) and zero.rows is None
 
 
 @given(st.integers(1, 8), _interval, _coeff, _coordinate, st.integers(0, 3),
@@ -519,9 +519,9 @@ def _ce_fields(draw):
     v, v_order = _feature(draw, dims, intervals)
     max_order = min(max_order, v_order)
     width = u.count + v.count
-    ctx = C.FieldContext(names, width, {"p": 1.5})
-    u_field = C.FeatureField(ctx, u, slice(0, u.count))
-    v_field = C.FeatureField(ctx, v, slice(u.count, width))
+    ctx = C.FieldContext(names, {"p": 1.5})
+    u_field = C.FeatureField(ctx, u, slice(0, u.count), width)
+    v_field = C.FeatureField(ctx, v, slice(u.count, width), width)
     integrals = 1
     field = u_field
     for k in draw(st.lists(st.integers(0, dims - 1), min_size=1,
@@ -617,7 +617,8 @@ def _magnitude(field, pts, orders, extras):
 
 
 def _absolute(ae):
-    return C.AffineEval(np.abs(ae.rows), np.abs(ae.offset),
+    rows = None if ae.rows is None else np.abs(ae.rows)
+    return C.AffineEval(rows, np.abs(ae.offset),
                         {k: np.abs(g) for k, g in ae.grads.items()})
 
 
@@ -637,7 +638,7 @@ def _kappa_magnitude(kappa, ctx, pts, orders, extras):
 
 
 def _operator_magnitude(op, inner, pts, orders, k, extras):
-    out = C._zero(pts.shape[0], inner.width)
+    out = C._zero(pts.shape[0])
     for s in op.specs:
         orders2 = list(orders)
         if isinstance(s, C.PointDeriv):
@@ -700,3 +701,119 @@ def test_distinct_row_ce_equals_pointwise_ce(drawn):
     assert got.grads.keys() == want.grads.keys()
     for name in want.grads:
         within(got.grads[name], want.grads[name], mag.grads[name])
+
+
+# ---------------------------------------------------------------------------
+# evaluations that do not depend on the coefficients carry no rows
+
+def test_kappas_and_probe_fields_have_no_rows():
+    pts = np.array([[0.0, 1.0], [0.5, -1.0], [1.0, 2.0]])
+    ctx = C.FieldContext(("x", "y"), {"p": 1.5})
+    expr = E.parse("p*y^2 + c*sin(y)")
+    branch = C.BranchKappa(((lambda extras: extras["c"] > 0, expr),
+                            (lambda extras: True, E.parse("y"))))
+    probe = C.ExprField(expr, ("x", "y"), {"p": 1.5})
+    ce = C.build_univariate_ce([
+        C.Constraint.point(1.0, 0.0),
+        C.Constraint(op_point((1, 1.0)), C.ExprKappa(E.parse("c*y")))])
+    fields = (probe, C.CallableField(lambda p, orders: p[:, 0], ("x", "y")),
+              C.CEField(probe, ce))
+    for orders in [(0, 0), (0, 1), (1, 0), (2, 1)]:
+        for kappa in (C.ConstKappa(2.0), C.ExprKappa(expr), branch):
+            assert kappa.eval(ctx, pts, orders, {"c": 0.5}).rows is None
+        for field in fields:
+            assert field.eval(pts, orders, {"c": 0.5}).rows is None
+
+
+def _with_zero_rows(ae, width):
+    """``ae`` with absent rows replaced by an explicit all-zero block."""
+    rows = np.zeros((len(ae.offset), width)) if ae.rows is None else ae.rows
+    return C.AffineEval(rows, ae.offset, ae.grads)
+
+
+def _assert_same_affine(got, want, width):
+    np.testing.assert_array_equal(_with_zero_rows(got, width).rows, want.rows)
+    np.testing.assert_array_equal(got.offset, want.offset)
+    assert got.grads.keys() == want.grads.keys()
+    for name in want.grads:
+        np.testing.assert_array_equal(got.grads[name], want.grads[name])
+
+
+_entries = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _affine_evals(draw):
+    """(a, b, s, xi, width): two evaluations at the same n points, each
+    with rows of one width or none and gradients in some of the extras c
+    and d, a scalar or per-point scale, and coefficients."""
+    n, width = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+    def vector(size):
+        return np.array(draw(st.lists(_entries, min_size=size,
+                                      max_size=size)), dtype=float)
+
+    def evaluation():
+        rows = vector(n * width).reshape(n, width) \
+            if draw(st.booleans()) else None
+        grads = {name: vector(n)
+                 for name in draw(st.sets(st.sampled_from("cd")))}
+        return C.AffineEval(rows, vector(n), grads)
+
+    a, b = evaluation(), evaluation()
+    s = draw(_entries) if draw(st.booleans()) else vector(n)
+    return a, b, s, vector(width), width
+
+
+@given(_affine_evals())
+@settings(max_examples=200, deadline=None)
+def test_absent_rows_act_as_zero_rows(drawn):
+    a, b, s, xi, width = drawn
+    za, zb = _with_zero_rows(a, width), _with_zero_rows(b, width)
+    total = C._ae_add(a, b)
+    _assert_same_affine(total, C._ae_add(za, zb), width)
+    _assert_same_affine(C._ae_add(b, a), C._ae_add(zb, za), width)
+    _assert_same_affine(C._ae_scale(a, s), C._ae_scale(za, s), width)
+    np.testing.assert_array_equal(a.value(xi), za.value(xi))
+    # a sum with a side without rows takes the other side's rows as they are
+    if a.rows is None or b.rows is None:
+        assert total.rows is (b.rows if a.rows is None else a.rows)
+
+
+class _ZeroRowsField(C.Field):
+    """``inner``'s evaluations with an all-zero row block for absent rows."""
+
+    def __init__(self, inner, width):
+        super().__init__(inner.ctx)
+        self.inner, self.width = inner, width
+
+    def eval(self, pts, orders, extras=None):
+        return _with_zero_rows(self.inner.eval(pts, orders, extras), self.width)
+
+
+@given(st.lists(st.lists(_coordinate, min_size=1, max_size=3), min_size=3,
+                max_size=3),
+       st.lists(st.integers(0, 8), max_size=4), st.integers(0, 2),
+       st.sampled_from(("point", "derivative", "integral", "foreign")),
+       _coordinate, _coeff, st.tuples(*[st.integers(0, 1)] * 3))
+@settings(max_examples=100, deadline=None)
+def test_gathered_operator_without_rows_equals_zero_rows(
+        axes, repeats, k, kind, at, coeff, orders):
+    # the operator is evaluated at the distinct points of the other
+    # coordinates and gathered back to every row, with or without rows
+    mesh = np.array(np.meshgrid(*axes, indexing="ij")).reshape(3, -1).T
+    pts = mesh[list(range(len(mesh))) + [i % len(mesh) for i in repeats]]
+    other = (k + 1) % 3
+    spec = {"point": C.PointDeriv(0, at, coeff),
+            "derivative": C.PointDeriv(2, at, coeff),
+            "integral": C.DefiniteIntegral(-1.0, at + 2.5, coeff),
+            "foreign": C.PointDeriv(1, at, coeff, ((other, -1.0, 0.5),))}[kind]
+    op = C.ConstraintOperator([spec, C.PointDeriv(0, -at, 0.5)])
+    probe = C.ExprField(E.parse("x^2*y*z + c*sin(x + 2*y)*z^3 + p*y^2"),
+                        ("x", "y", "z"), {"p": 1.5})
+    orders = tuple(0 if j == k else d for j, d in enumerate(orders))
+    got = C._apply_op_to_field(op, probe, pts, orders, k, {"c": 0.7})
+    want = C._apply_op_to_field(op, _ZeroRowsField(probe, 2), pts, orders, k,
+                                {"c": 0.7})
+    assert got.rows is None
+    _assert_same_affine(got, want, 2)

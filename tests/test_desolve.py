@@ -86,6 +86,36 @@ def test_linear_problem_through_nonlinear_path_one_iteration():
     np.testing.assert_allclose(result.xi, lin.xi["y"], atol=1e-9)
 
 
+def _decay_ode(family, window):
+    """y_x + y = 0, y(0) = 1 on [0, 1] (y = exp(-x)): 20 CGL points and a
+    degree-12 free function of ``family`` on the basis window ``window``."""
+    return D.DeProblem(
+        name="decay",
+        independent=(D.IndependentVar("x", (0.0, 1.0), 20),),
+        dependent=(D.DependentVar("y", (
+            D.ConstraintSpec("x", ({"order": 0, "at": 0.0},), 1.0),
+        ), D.BasisSpec(family, 12, window=window)),),
+        residuals=("y_x + y",),
+        analytic={"y": "exp(-x)"},
+        test_points=(101,),
+    )
+
+
+@pytest.mark.parametrize("family,window", [
+    ("laguerre", (0.0, 2.0)),
+    ("hermite-prob", (-1.0, 1.0)),
+    ("hermite-phys", (-1.0, 1.0)),
+])
+def test_infinite_domain_families_solve_on_a_window(family, window):
+    # The degree-12 interpolation remainder of exp(-x) on [0, 1] is at most
+    # max |f^(13)| / 13! = 1/13! ~ 1.6e-10; 1e-9 leaves room for rounding.
+    report = D.solve(_decay_ode(family, {"x": window}))
+    assert report.converged
+    assert report.max_error <= 1e-9
+    with pytest.raises(ValueError, match="declare a finite window for 'x'"):
+        D.ProblemBuild(_decay_ode(family, {}))
+
+
 @pytest.mark.parametrize("mode", ["embedded", "spectral"])
 def test_assemble_linear_is_the_first_gauss_newton_system(mode):
     # affine residual: A = J(q) for any q and b = -L(0), from the same closures
