@@ -191,11 +191,6 @@ class BasisFamily:
     def native_domain(self):
         return NATIVE_DOMAINS[self.kind]
 
-    def count(self, full=False):
-        if full:
-            return self.degree + 1
-        return self.degree + 1 - len(self.removal)
-
     def table(self, z, d):
         """Native-variable derivative table, all columns (no removal)."""
         if d < 0:
@@ -203,13 +198,14 @@ class BasisFamily:
         return _recurrence_table(self.kind, np.atleast_1d(z), self.degree, d)
 
 
-def eval_basis(family: BasisFamily, domain_map: DomainMap, x, d: int,
-               full: bool = False) -> np.ndarray:
-    """Problem-variable derivative matrix H^(d), shape (npoints, retained).
+def eval_basis(family: BasisFamily, domain_map: DomainMap, x,
+               d: int) -> np.ndarray:
+    """Problem-variable derivative matrix H^(d), shape (npoints, degree + 1).
 
-    Columns follow basis index order with the removal spec applied unless
-    ``full`` is set.  The chain-rule factor slope^d is included, so the
-    entries are derivatives with respect to the problem variable.
+    Columns follow basis index order, every index included: the removal
+    spec acts on tensor multi-indices (``TensorFeature``), not here.  The
+    chain-rule factor slope^d is included, so the entries are derivatives
+    with respect to the problem variable.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     lo, hi = family.native_domain
@@ -218,11 +214,7 @@ def eval_basis(family: BasisFamily, domain_map: DomainMap, x, d: int,
         eps = 1e-12 * max(1.0, abs(hi - lo))
         if np.any(z < lo - eps) or np.any(z > hi + eps):
             raise ValueError("points map outside the basis native domain")
-    mat = family.table(z, d) * domain_map.slope ** d
-    if full or not family.removal:
-        return mat
-    keep = [j for j in range(family.degree + 1) if j not in set(family.removal)]
-    return mat[:, keep]
+    return family.table(z, d) * domain_map.slope ** d
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +307,6 @@ class ElmFamily:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "biases", b)
 
-    def count(self):
-        return self.neurons
-
 
 # ---------------------------------------------------------------------------
 # multivariate feature maps: rows of the free function g = h(x)^T xi
@@ -384,7 +373,7 @@ class TensorFeature:
         tables = []
         for k, (fam, dmap) in enumerate(zip(self.families, self.maps)):
             coords, inverse = np.unique(pts[:, k], return_inverse=True)
-            table = eval_basis(fam, dmap, coords, orders[k], full=True)
+            table = eval_basis(fam, dmap, coords, orders[k])
             if k in projection:
                 ce, applied = projection[k]
                 table = table - ce.switching(coords, orders[k]) @ applied

@@ -281,6 +281,9 @@ def _basis_from_config(item, path, names):
              ("degree", "removal", "activation", "neurons", "seed",
               "init_range"))
     family = item["family"]
+    if not isinstance(family, str):
+        raise ConfigError(f"{path}.family: expected a family name, "
+                          f"got {family!r}")
     if family == "elm":
         return ElmSpec(item.get("activation", "tanh"),
                        _integer(item.get("neurons", 100), f"{path}.neurons", 1),
@@ -586,6 +589,11 @@ def cmd_plotdata(report_path, out_path):
         rows = plot_rows(problem_from_config(doc["config"]), doc)
     except ConfigError as err:
         click.echo(f"report error: {err}", err=True)
+        sys.exit(1)
+    except ValueError as err:
+        # the library's checks, as in ``solve``: e.g. a domain error of the
+        # analytic solution on the sampled grid
+        click.echo(f"problem error: {type(err).__name__}: {err}", err=True)
         sys.exit(1)
     _emit(_csv(rows), out_path)
     sys.exit(0)

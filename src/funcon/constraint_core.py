@@ -8,12 +8,14 @@ expression is
 
     y(x, g) = g(x) + sum_j phi_j(x) * (kappa_j - C_j[g]).
 
-An operator's discretization is its quadrature rule,
+An operator's only discretization is its quadrature rule,
 ``ConstraintOperator.taps``, and every application walks it:
 ``apply_operator_columns`` on evaluables f(x, d) -> (n, cols) along the
-operator's own variable (support matrices, scalar probes through
-``apply_operator``, C[T] for projected-table assembly), and
-``_apply_op_to_field`` on the recursive CE's fields.
+operator's own variable (support matrices with their augmentation rows,
+scalar probes through ``apply_operator``, C[T] for projected-table
+assembly), and ``_apply_op_to_field`` on the recursive CE's fields.  So the
+switching coefficients are solved against the same functional the
+expression applies; no integral is taken in closed form.
 
 Fields evaluate in an *affine-in-xi* representation: an evaluation of a
 field at N points returns rows (N, width), an offset (N,), and the offset's
@@ -72,14 +74,11 @@ __all__ = [
     "gauss_legendre",
 ]
 
-_GL_CACHE: dict = {}
-
-
-def gauss_legendre(a: float, b: float, n: int = 64):
-    """Nodes and weights for n-point Gauss-Legendre quadrature on [a, b]."""
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    z, w = _GL_CACHE[n]
+def gauss_legendre(a: float, b: float):
+    """Nodes and weights of 64-point Gauss-Legendre quadrature on [a, b],
+    exact for polynomials of degree up to 127.  Computed per call (about a
+    millisecond), so ``numpy.polynomial`` loads only for integral terms."""
+    z, w = np.polynomial.legendre.leggauss(64)
     half = 0.5 * (b - a)
     return a + half * (z + 1.0), half * w
 
@@ -131,10 +130,11 @@ class ConstraintOperator:
     """Linear functional: weighted sum of evaluation specs.
 
     ``taps`` is its quadrature rule, built once and walked by every
-    application: per spec, a tuple of (weight, own-dimension order, own
-    coordinate, ((foreign dim, node), ...)).  A point term is one tap of
-    weight coeff; each integral, own-dimension or foreign, takes 64-node
-    Gauss-Legendre quadrature, its weights multiplied into coeff."""
+    application: one flat tuple of (weight, own-dimension order, own
+    coordinate, ((foreign dim, node), ...)), spec after spec.  A point term
+    is one tap of weight coeff; each integral, own-dimension or foreign,
+    takes 64-node Gauss-Legendre quadrature, its weights multiplied into
+    coeff."""
 
     specs: tuple
     taps: tuple = dc_field(init=False, repr=False, compare=False)
@@ -144,7 +144,8 @@ class ConstraintOperator:
         if not specs:
             raise ValueError("a constraint operator needs at least one term")
         object.__setattr__(self, "specs", specs)
-        object.__setattr__(self, "taps", tuple(map(self._rule, specs)))
+        object.__setattr__(self, "taps",
+                           tuple(t for s in specs for t in self._rule(s)))
 
     @staticmethod
     def _rule(s):
@@ -160,53 +161,36 @@ class ConstraintOperator:
         return taps
 
 
-def apply_operator_columns(ops, f, integral=None):
+def apply_operator_columns(ops, f):
     """C[f_c] for each operator C of ``ops`` and every column c of an
-    evaluable along the operators' own variable: ``f(x, d)`` gives the d-th
-    derivatives at the points ``x``, shape (len(x), cols), and is called
-    once per derivative order at all of the operators' taps.  Definite
-    integrals use ``integral(a, b)`` (one value per column) instead of
-    their taps when it is given.  Foreign nodes are ignored, since f has no
-    other variables: their weights sum to the interval's length.  Returns
-    shape (len(ops), cols)."""
-    def hooked(s):
-        return integral is not None and isinstance(s, DefiniteIntegral)
-
+    evaluable along the operators' own variable, summed over the operators'
+    taps: ``f(x, d)`` gives the d-th derivatives at the points ``x``, shape
+    (len(x), cols), and is called once per derivative order at all of the
+    operators' taps.  Foreign nodes are ignored, since f has no other
+    variables: their weights sum to the interval's length.  Returns shape
+    (len(ops), cols)."""
     points = {}  # derivative order -> tap coordinates, in walking order
     for op in ops:
-        for s, taps in zip(op.specs, op.taps):
-            if not hooked(s):
-                for _, d, x, _ in taps:
-                    points.setdefault(d, []).append(x)
+        for _, d, x, _ in op.taps:
+            points.setdefault(d, []).append(x)
     values = {d: iter(f(np.array(x, dtype=float), d))
               for d, x in points.items()}
     rows = []
     for op in ops:
         total = 0.0
-        for s, taps in zip(op.specs, op.taps):
-            if hooked(s):
-                total = total + s.coeff * integral(s.lower, s.upper)
-            else:
-                for weight, d, _, _ in taps:
-                    total = total + weight * next(values[d])
+        for weight, d, _, _ in op.taps:
+            total = total + weight * next(values[d])
         rows.append(total)
     return np.array(rows)
 
 
 def apply_operator(op: ConstraintOperator, f) -> float:
-    """Apply a constraint operator to a univariate evaluable at its taps.
-
-    ``f`` must provide ``deriv(x, d)``; definite integrals use
-    ``f.integral(a, b)`` instead when it is available.
-    """
+    """Apply a constraint operator to a univariate evaluable at its taps;
+    ``f`` provides ``deriv(x, d)``."""
     def column(x, d):
         return np.array([[f.deriv(t, d)] for t in x.tolist()], dtype=float)
 
-    integral = None
-    if hasattr(f, "integral"):
-        def integral(a, b):
-            return np.array([f.integral(a, b)], dtype=float)
-    return float(apply_operator_columns([op], column, integral)[0, 0])
+    return float(apply_operator_columns([op], column)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +318,7 @@ def as_kappa(value):
 
 
 # ---------------------------------------------------------------------------
-# support functions (monomials with exact derivative/integral rules)
+# support functions (monomials with exact derivative rules)
 
 class MonomialSupports:
     """Support basis x^p for a tuple of powers; default 1, x, ..., x^(k-1)."""
@@ -360,14 +344,6 @@ class MonomialSupports:
             coef *= p - i
         return coef * np.asarray(x, dtype=float) ** (p - d)
 
-    def integral(self, j, a, b):
-        p = self.powers[j]
-        return (b ** (p + 1) - a ** (p + 1)) / (p + 1)
-
-    def integrals(self, a, b):
-        """Exact integral of every support function over [a, b]."""
-        return np.array([self.integral(j, a, b) for j in range(len(self))])
-
     def table(self, x, d):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return np.column_stack([self.deriv(x, j, d) for j in range(len(self))])
@@ -375,12 +351,13 @@ class MonomialSupports:
 
 def support_matrix(constraints, supports: MonomialSupports,
                    extra_conditions=()) -> np.ndarray:
-    """S_ij = C_i[s_j]; extra integral-augmentation conditions are stacked as
-    additional rows (each a plain definite integral over this dimension)."""
+    """S_ij = C_i[s_j] at the operators' taps; extra integral-augmentation
+    conditions are stacked as additional rows (each a plain definite
+    integral over this dimension, taken at its taps too)."""
     ops = [c.operator for c in constraints]
     ops += [ConstraintOperator([DefiniteIntegral(lo, hi)])
             for lo, hi in extra_conditions]
-    return apply_operator_columns(ops, supports.table, supports.integrals)
+    return apply_operator_columns(ops, supports.table)
 
 
 _COND_LIMIT = 1e12
@@ -610,7 +587,7 @@ def _apply_op_to_field(op: ConstraintOperator, inner: Field, pts, orders, k,
     if repeated:
         pts = pts[first]
     out = None
-    for weight, d, x, foreign in (t for taps in op.taps for t in taps):
+    for weight, d, x, foreign in op.taps:
         if any(orders[j] for j, _ in foreign):
             continue
         orders2 = list(orders)
@@ -663,8 +640,9 @@ class CEField(Field):
 def evaluate_ce(ce: UnivariateCE, g, x, d=0):
     """y^(d)(x) for a univariate CE and probe free function g.
 
-    ``g`` provides deriv(x, d) (and optionally integral(a, b)); every kappa
-    must be constant.  Returns a scalar for scalar x, an array otherwise.
+    ``g`` provides deriv(x, d), and every operator is applied at its taps;
+    every kappa must be constant.  Returns a scalar for scalar x, an array
+    otherwise.
     """
     if not all(isinstance(c.kappa, ConstKappa) for c in ce.constraints):
         raise ValueError("evaluate_ce expects constant kappas; component and "

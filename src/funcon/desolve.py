@@ -481,7 +481,7 @@ def _operators_on_table(ce, feature):
     fam, dmap = feature.families[ce.dim], feature.maps[ce.dim]
     return apply_operator_columns(
         [c.operator for c in ce.constraints],
-        lambda x, d: eval_basis(fam, dmap, x, d, full=True))
+        lambda x, d: eval_basis(fam, dmap, x, d))
 
 
 def _mesh(axes):

@@ -334,26 +334,26 @@ def balloon(altitude=52, n=140, m=50, sigma_c=0.0):
     )
 
 
-def solve_balloon(altitude=52, n=140, m=50, warm_start=None, beta0=1.0,
-                  ell0=12.0):
-    """Staged balloon solve: plain Gauss-Newton diverges from a cold start
-    when the domain parameters float, so first solve the over-determined
-    shape over the coefficients alone, with beta and ell pinned at beta0 and
-    ell0, then release them (or warm-start from a neighbouring altitude's
-    solution).  Both stages share one ProblemBuild and its residual and
-    Jacobian closures.
+def solve_balloon(altitude=52, warm_start=None):
+    """Staged balloon solve on ``balloon(altitude)``'s default grid and
+    degree: plain Gauss-Newton diverges from a cold start when the domain
+    parameters float, so first solve the over-determined shape over the
+    coefficients alone, with beta and ell pinned at their
+    ``ExtraUnknown.init`` values, then release them (or warm-start from a
+    neighbouring altitude's solution).  Both stages share one ProblemBuild
+    and its residual and Jacobian closures.
 
     Returns (report, state) where state warm-starts the next altitude; the
     report's wall time covers both stages.
     """
     t0 = time.perf_counter()
-    problem = balloon(altitude, n=n, m=m)
+    problem = balloon(altitude)
     bld = ProblemBuild(problem)
     closures = None
     if warm_start is None:
         closures = residual, jacobian = assemble_nonlinear(bld)
         width = bld.layout.width
-        pinned = np.array([beta0, ell0])
+        pinned = np.array([e.init for e in problem.extras])
         frozen = nlls(
             lambda xi: residual(np.concatenate([xi, pinned])),
             lambda xi: jacobian(np.concatenate([xi, pinned]))[:, :width],

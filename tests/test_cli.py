@@ -262,6 +262,10 @@ def _duplicate_constraint(doc):
     (_basis(family="laguerre"),
      ("config error", "dependent[0].basis.family", "'laguerre'",
       "BasisSpec.window")),
+    # a family that is not a name, once a TypeError traceback
+    (_basis(family=[1]), ("config error", "dependent[0].basis.family", "[1]")),
+    (_basis(family={"kind": "chebyshev"}),
+     ("config error", "dependent[0].basis.family", "'kind'")),
 ])
 def test_problem_errors_named_without_traceback(tmp_path, runner, edit,
                                                 fragments):
@@ -330,28 +334,40 @@ def _declare_extra_c(doc):
     doc["config"]["extras"] = [{"name": "c", "init": 0.5}]
 
 
+def _truth_undefined_on_plot_grid(doc):
+    # an analytic solution undefined for x < 0.5; with no test_points,
+    # plotdata samples 100 points per dimension over [0, 1]
+    doc["config"]["analytic"] = {"u": "sqrt(x - 0.5)"}
+    doc["config"].pop("test_points")
+
+
 @pytest.mark.parametrize("report,fragments", [
-    (_csv_report, ("not a JSON report",)),
-    (_json_report(lambda doc: doc.pop("config")), ("'config'",)),
-    (_json_report(lambda doc: doc.pop("xi")), ("'xi'",)),
-    (_json_report(lambda doc: doc["xi"].pop("u")), ("xi", "'u'")),
+    (_csv_report, ("report error", "not a JSON report")),
+    (_json_report(lambda doc: doc.pop("config")), ("report error", "'config'")),
+    (_json_report(lambda doc: doc.pop("xi")), ("report error", "'xi'")),
+    (_json_report(lambda doc: doc["xi"].pop("u")),
+     ("report error", "xi", "'u'")),
     (_json_report(lambda doc: doc["xi"]["u"].pop()),
-     ("xi.u", "41 coefficients")),
+     ("report error", "xi.u", "41 coefficients")),
     (_json_report(lambda doc: doc["xi"].update(u=[1.0])),
-     ("xi.u", "41 coefficients")),
-    (_json_report(lambda doc: doc["xi"].update(u="abc")), ("xi.u",)),
-    (_json_report(_declare_extra_c), ("extras", "'c'")),
+     ("report error", "xi.u", "41 coefficients")),
+    (_json_report(lambda doc: doc["xi"].update(u="abc")),
+     ("report error", "xi.u")),
+    (_json_report(_declare_extra_c), ("report error", "extras", "'c'")),
     (_json_report(lambda doc: (_declare_extra_c(doc),
                                doc.update(extras={"c": "abc"}))),
-     ("extras.c", "'abc'")),
+     ("report error", "extras.c", "'abc'")),
+    # once an ExprEvalError traceback
+    (_json_report(_truth_undefined_on_plot_grid),
+     ("problem error", "ExprEvalError", "sqrt of negative value")),
 ], ids=["csv", "no-config", "no-xi", "no-u", "short-u", "one-u", "text-u",
-        "no-c", "text-c"])
+        "no-c", "text-c", "sqrt-truth"])
 def test_plotdata_bad_report_named_without_traceback(tmp_path, runner,
                                                      report, fragments):
     path = _write(tmp_path, report(tmp_path, runner), name="bad-report")
     _assert_named_exit_1(runner.invoke(cli.main, ["plotdata", "--report",
                                                   path]),
-                         "report error", *fragments)
+                         *fragments)
 
 
 def test_plotdata_without_analytic_omits_truth_columns(tmp_path, runner):

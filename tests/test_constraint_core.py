@@ -18,7 +18,7 @@ def op_point(*terms):
 
 
 class PolyProbe:
-    """Exact polynomial evaluable with derivatives and integrals."""
+    """Exact polynomial evaluable with derivatives."""
 
     def __init__(self, coeffs):
         self.p = np.polynomial.Polynomial(coeffs)
@@ -26,14 +26,9 @@ class PolyProbe:
     def deriv(self, x, d):
         return float(self.p.deriv(d)(x)) if d else float(self.p(x))
 
-    def integral(self, a, b):
-        q = self.p.integ()
-        return float(q(b) - q(a))
-
 
 class ExprProbe:
-    """Evaluable with derivatives from an expression in x (no integral, so
-    operators take their integrals at their quadrature taps)."""
+    """Evaluable with derivatives from an expression in x."""
 
     def __init__(self, source):
         self.expr = E.parse(source)
@@ -220,9 +215,6 @@ def test_operator_columns_without_hook_equal_exact_integrals(
             {(p, 0, 0): 1.0}, coeff,
             [("at", at, d), ("over", flo, fhi), ("at", 0.0, 0)])
         _within_tap_bound(got[1, p], want, major)
-    np.testing.assert_array_equal(
-        C.apply_operator_columns(ops[:1], supports.table, supports.integrals),
-        coeff * supports.integrals(lo, hi)[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +250,19 @@ def test_support_matrix_singular_monomials_detected():
 def test_support_matrix_integral_example():
     S = C.support_matrix(INTEGRAL_CONSTRAINTS, C.MonomialSupports([0, 1]))
     np.testing.assert_allclose(S, [[5, 2.5], [6, 6]], atol=1e-14)
+
+
+def test_support_matrix_walks_the_operator_taps():
+    # alpha is solved against the functional the expression applies: each
+    # integral row, augmentation rows included, is the sum over the
+    # operator's taps, with no closed-form integral in its place
+    cons = INTEGRAL_CONSTRAINTS + POINT_CONSTRAINTS[:1]
+    extra = ((-1.0, 1.0), (0.0, 0.75))
+    supports = C.MonomialSupports.default(len(cons) + len(extra))
+    ops = [c.operator for c in cons] + [
+        C.ConstraintOperator([C.DefiniteIntegral(lo, hi)]) for lo, hi in extra]
+    np.testing.assert_array_equal(C.support_matrix(cons, supports, extra),
+                                  C.apply_operator_columns(ops, supports.table))
 
 
 def test_switching_coefficients_point_example():

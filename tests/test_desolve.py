@@ -384,7 +384,7 @@ def _absolute_rows(bld, pts, orders):
     out = np.ones((pts.shape[0], feature.count))
     for k, (fam, dmap) in enumerate(zip(feature.families, feature.maps)):
         def table(x, d):
-            return np.abs(B.eval_basis(fam, dmap, x, d, full=True))
+            return np.abs(B.eval_basis(fam, dmap, x, d))
 
         tab = table(pts[:, k], orders[k])
         if k in bld.projections["u"]:
