@@ -143,6 +143,10 @@ def problem_from_config(doc) -> DeProblem:
              required=("name", "independent", "dependent", "residuals"),
              optional=("params", "extras", "solver", "analytic",
                        "test_points", "seed"))
+    if not isinstance(doc["name"], str):
+        raise ConfigError(f"name: expected a string, got {doc['name']!r}")
+    if doc.get("seed") is not None:
+        _integer(doc["seed"], "seed", 0)
     indep = []
     names = []
     taken = {}
@@ -188,9 +192,13 @@ def problem_from_config(doc) -> DeProblem:
                              names).items()}
         deps.append(DependentVar(item["name"], tuple(cons), basis, supports))
 
-    residuals = tuple(_expression(r, f"residuals[{i}]")
-                      for i, r in enumerate(_items(doc["residuals"],
-                                                   "residuals")))
+    residuals = []
+    for i, r in enumerate(_items(doc["residuals"], "residuals")):
+        # a number would be a residual that no unknown enters
+        if not isinstance(r, str):
+            raise ConfigError(f"residuals[{i}]: expected an expression "
+                              f"string, got {r!r}")
+        residuals.append(_expression(r, f"residuals[{i}]"))
     params = {}
     for k, v in _mapping(doc.get("params"), "params").items():
         _claim(taken, k, f"params.{k}")
@@ -229,10 +237,10 @@ def problem_from_config(doc) -> DeProblem:
             raise ConfigError("test_points: one count per independent variable")
 
     return DeProblem(
-        name=str(doc["name"]),
+        name=doc["name"],
         independent=tuple(indep),
         dependent=tuple(deps),
-        residuals=residuals,
+        residuals=tuple(residuals),
         params=params,
         extras=tuple(extras),
         method=solver.get("method", "svd-pinv"),
@@ -370,8 +378,9 @@ def report_to_dict(report: SolveReport, problem: DeProblem) -> dict:
             "columns": report.columns,
             "training_points": report.training_points,
         },
-        # a list, so outside the scalar metrics that the CSV report tabulates
+        # lists, so outside the scalar metrics that the CSV report tabulates
         "residual_history": list(map(float, report.residual_history)),
+        "step_routes": list(report.step_routes),
     }
 
 

@@ -686,6 +686,8 @@ class SolveReport:
     training_points: int = 0
     # Gauss-Newton residual inf-norm per iterate; empty on the linear path
     residual_history: list = dc_field(default_factory=list)
+    # least-squares route per Gauss-Newton step (``NllsResult.step_routes``)
+    step_routes: list = dc_field(default_factory=list)
 
     @property
     def converged(self):
@@ -735,7 +737,7 @@ def _solve(bld, seed, x0, t0, closures=None):
         A, b = assemble_linear(bld, pts)
         q = lstsq(A, b, method=problem.method)
         resid = A @ q - b
-        iterations, reason, history = 0, "linear", []
+        iterations, reason, history, routes = 0, "linear", [], []
     else:
         residual, jacobian = closures or assemble_nonlinear(bld, pts)
         cfg = NllsConfig(tol=problem.nlls_tol, max_iter=problem.nlls_max_iter,
@@ -744,7 +746,7 @@ def _solve(bld, seed, x0, t0, closures=None):
         q = result.xi
         resid = residual(q)
         iterations, reason = result.iterations, result.reason
-        history = result.residual_history
+        history, routes = result.residual_history, result.step_routes
     if not (np.isfinite(q).all() and np.isfinite(resid).all()):
         reason = "non-finite"
     xi = q[:width]
@@ -766,6 +768,7 @@ def _solve(bld, seed, x0, t0, closures=None):
         columns=width,
         training_points=pts.shape[0],
         residual_history=history,
+        step_routes=routes,
     )
 
 

@@ -109,6 +109,9 @@ _PARTIAL_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)_([A-Za-z]+)$")
 
 def canonical_partial_name(name: str) -> str:
     """Sort the suffix letters of a partial tag; other names pass through."""
+    if "_" not in name:
+        # no partial tag, and no regex match to try (the common case)
+        return name
     m = _PARTIAL_RE.match(name)
     if m is None:
         return name

@@ -339,20 +339,27 @@ def solve_balloon(altitude=52, warm_start=None):
     degree: plain Gauss-Newton diverges from a cold start when the domain
     parameters float, so first solve the over-determined shape over the
     coefficients alone, with beta and ell pinned at their
-    ``ExtraUnknown.init`` values, then release them (or warm-start from a
-    neighbouring altitude's solution).  Both stages share one ProblemBuild
-    and its residual and Jacobian closures.
+    ``ExtraUnknown.init`` values, then release them.  Both stages share one
+    ProblemBuild and its residual and Jacobian closures.
 
-    Returns (report, state) where state warm-starts the next altitude; the
-    report's wall time covers both stages.
+    Returns (report, state); the report's wall time covers both stages.
+    ``state`` holds the sweep's last one or two (altitude, solution) pairs,
+    oldest first, each solution being [coefficients..., beta, ell].  Passed
+    back as ``warm_start``, it replaces the frozen stage with a predictor
+    for this altitude: the secant step, linear extrapolation in altitude
+    from the last two solutions (Allgower & Georg, Introduction to
+    Numerical Continuation Methods, ch. 2), with beta and ell clamped to
+    their bounds; after a single pair (or two at one altitude), that pair's
+    solution itself.
     """
     t0 = time.perf_counter()
     problem = balloon(altitude)
     bld = ProblemBuild(problem)
+    width = bld.layout.width
     closures = None
+    pairs = ()
     if warm_start is None:
         closures = residual, jacobian = assemble_nonlinear(bld)
-        width = bld.layout.width
         pinned = np.array([e.init for e in problem.extras])
         frozen = nlls(
             lambda xi: residual(np.concatenate([xi, pinned])),
@@ -360,8 +367,21 @@ def solve_balloon(altitude=52, warm_start=None):
             np.zeros(width),
             NllsConfig(tol=problem.nlls_tol, max_iter=30,
                        method=problem.method))
-        warm_start = np.concatenate([frozen.xi, pinned])
-    report = _solve(bld, None, warm_start, t0, closures)
-    state = np.concatenate([*report.xi.values(),
-                            [report.extras[e.name] for e in problem.extras]])
-    return report, state
+        x0 = np.concatenate([frozen.xi, pinned])
+    else:
+        pairs = tuple(warm_start)
+        try:
+            (a0, s0), (a1, s1) = pairs[0], pairs[-1]
+        except (TypeError, ValueError) as err:
+            raise ValueError("warm_start must be the state that solve_balloon "
+                             "returns: (altitude, solution) pairs") from err
+        x0 = s1
+        if a1 != a0:
+            x0 = s1 + (altitude - a1) / (a1 - a0) * (s1 - s0)
+            extras, _ = bld.clamp_extras(
+                {e.name: x0[width + i] for i, e in enumerate(problem.extras)})
+            x0[width:] = list(extras.values())
+    report = _solve(bld, None, x0, t0, closures)
+    solution = np.concatenate([*report.xi.values(),
+                               [report.extras[e.name] for e in problem.extras]])
+    return report, (*pairs[-1:], (altitude, solution))

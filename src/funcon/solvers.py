@@ -13,6 +13,17 @@ svd-pinv is LAPACK's divide-and-conquer least squares, xGELSD, and the QR
 routes factor [A | b] once, in R-only mode, so Q is never formed.  funcon
 imports no scipy: ``scipy.linalg`` would map a second OpenBLAS, with its own
 load time, memory and thread pool, into every process that imports funcon.
+
+Where each route runs: ``lstsq`` runs exactly the method it is given.
+``nlls`` under svd-pinv first tries a certified QR step on a tall Jacobian
+(``_certified_qr_step``): when the R factor proves that the cutoff drops no
+singular value, the min-norm solution is the unique least-squares solution
+and the QR solve gives it, with route "qr"; every other Jacobian goes to
+``lstsq`` untouched, route "svd".  ``NllsResult.step_routes`` records the
+route of each step, and each step logs one DEBUG line.  Linear solves never
+take the QR step: their tensor systems carry dead columns of rounding size
+and their ELM systems are rank-deficient, so the certificate would fail and
+only add its cost.
 """
 
 from __future__ import annotations
@@ -37,6 +48,24 @@ LSQ_METHODS = ("normal", "qr", "scaled-qr", "svd-pinv", "cholesky")
 # stops as "stalled"; ``nlls`` says why 5
 STALL_WINDOW = 5
 
+# The certified QR step's margin over the svd-pinv cutoff.  Householder QR
+# (column scaling included) returns the exact R factor of A + dA with
+# ||da_j|| <= g ||a_j|| for each column, g = c0*m*k*u with u the unit
+# roundoff and c0 a small integer (Higham, Accuracy and Stability of
+# Numerical Algorithms, Thm 19.4).  So ||dA||_2 <= g ||A||_F, and with
+# U = ||RD||_F, sigma_max(A) <= U (1 + g) and sigma_min(A) >=
+# 1/||D^-1 R^-1||_F - g U (1 + g).  The cutoff keeps every singular value
+# when sigma_min(A) > rcond sigma_max(A), which the certificate
+# 1/||D^-1 R^-1||_F > c rcond U implies once c >= 1 + g/rcond + O(g).  With
+# rcond = 1e-14 max(m, n) and m <= max(m, n), g/rcond <= c0 k u/1e-14 =
+# 0.011 c0 k.  c = 1e3 covers that worst case up to c0 k = 9e4 columns,
+# far past the widest system funcon assembles (an ELM layout, 650 columns).
+# The inverse that gives the bound has relative error about kappa(R) k u
+# (Higham ch. 8); once the certificate holds that is at most about
+# 0.011 sqrt(k)/c, since column scaling keeps kappa(R) within sqrt(k) of
+# kappa(RD) (van der Sluis), so it needs no margin of its own.
+_CERTIFY_MARGIN = 1e3
+
 
 class RankDeficientError(np.linalg.LinAlgError):
     pass
@@ -53,6 +82,53 @@ def _qr_solve(A, b):
         raise RankDeficientError("rank-deficient matrix in QR path")
     # R is zero below its diagonal, so LU's partial pivoting swaps no rows
     return np.linalg.solve(r, rb[:n, n])
+
+
+def _svd_rcond(shape):
+    # svd-pinv drops singular values at or below max(s) times this
+    return 1e-14 * max(shape)
+
+
+def _certified_qr_step(A, b):
+    """svd-pinv's solution of a tall A xi = b through one QR, or None.
+
+    A counts as tall when m >= floor(1.6 k), k its nonzero columns: xGELSD's
+    own crossover (ILAENV ispec 6), past which LAPACK also starts from a QR
+    of A.  Zero columns get exactly 0, as in the min-norm solution.  The
+    others are factored column-scaled as in scaled-qr, [A D^-1 | b] = QR,
+    and the step is solved with R.  It is returned only when
+    1/||D^-1 R^-1||_F > c rcond ||RD||_F (c = ``_CERTIFY_MARGIN``) proves
+    that the cutoff drops nothing, so that the min-norm solution is the
+    unique least-squares solution; R^-1 serves only this bound.  Two cheaper
+    tests return None early, each a proof that the certificate fails:
+    sigma_min <= min ||a_j|| and sigma_min(RD) <= min |r_jj d_j|.  None for
+    every other A, including a non-finite one.
+    """
+    m, n = A.shape
+    live = A.any(axis=0)
+    k = int(np.count_nonzero(live))
+    if k == 0 or m < 8 * k // 5 or not np.isfinite(b).all():
+        return None
+    d = np.linalg.norm(A, axis=0)[live]
+    rcond = _svd_rcond(A.shape)
+    # false for a NaN or infinite norm too
+    if not d.min() > rcond * d.max():
+        return None
+    ab = np.empty((m, k + 1))
+    np.divide(A if k == n else A[:, live], d, out=ab[:, :k])
+    ab[:, k] = b
+    rb = np.linalg.qr(ab, mode="r")
+    r = rb[:k, :k]
+    rd = np.abs(np.diagonal(r)) * d
+    if not rd.min() > rcond * rd.max():
+        return None
+    lower = 1.0 / np.linalg.norm(np.linalg.inv(r) / d[:, None])
+    if not lower > _CERTIFY_MARGIN * rcond * np.linalg.norm(r * d):
+        return None
+    xi = np.zeros(n)
+    # R is zero below its diagonal, so LU's partial pivoting swaps no rows
+    xi[live] = np.linalg.solve(r, rb[:k, k]) / d
+    return xi
 
 
 def lstsq(A: np.ndarray, b: np.ndarray, method: str = "scaled-qr") -> np.ndarray:
@@ -84,7 +160,7 @@ def lstsq(A: np.ndarray, b: np.ndarray, method: str = "scaled-qr") -> np.ndarray
         norms[norms == 0] = 1.0
         return _qr_solve(A / norms, b) / norms
     if method == "svd-pinv":
-        return np.linalg.lstsq(A, b, rcond=1e-14 * max(A.shape))[0]
+        return np.linalg.lstsq(A, b, rcond=_svd_rcond(A.shape))[0]
     if method == "cholesky":
         try:
             c = np.linalg.cholesky(A.T @ A)
@@ -114,6 +190,9 @@ class NllsResult:
     # max-iterations | stalled | non-finite (not converged)
     reason: str
     residual_history: list = field(default_factory=list)
+    # least-squares route per step: "qr" (certified QR step) or "svd"
+    # (xGELSD) under svd-pinv, the method's name under any other method
+    step_routes: list = field(default_factory=list)
 
     @property
     def converged(self):
@@ -135,10 +214,20 @@ def nlls(residual, jacobian, xi0, config: NllsConfig = None) -> NllsResult:
     floor, the stall test needs no norm to cross a tolerance by chance, so
     rounding (say, of another BLAS thread count) does not decide whether it
     fires.
+
+    Each step logs one DEBUG line: the iteration, the residual inf-norm of
+    the iterate it steps from, and the least-squares route.
     """
+    # imported here, not with funcon: the linear solves never log, and with
+    # ``logging`` (and the ``string`` and ``traceback`` modules it loads)
+    # imported at module level, the tensor-poly and elm-features benchmark
+    # workloads read 0.2-0.3 MB more peak RSS in 10 of 10 runs each
+    import logging
+    log = logging.getLogger(__name__)
     config = config or NllsConfig()
     xi = np.atleast_1d(np.asarray(xi0, dtype=float)).copy()
     history = []
+    routes = []
     it = 0
     anchor = 0
     dxi = None
@@ -149,16 +238,26 @@ def nlls(residual, jacobian, xi0, config: NllsConfig = None) -> NllsResult:
             anchor = it
         # stopping conditions, checked in order each pass
         if not np.isfinite(L).all():
-            return NllsResult(xi, it, "non-finite", history)
+            return NllsResult(xi, it, "non-finite", history, routes)
         if history[-1] < config.tol:
-            return NllsResult(xi, it, "residual-inf-norm", history)
+            return NllsResult(xi, it, "residual-inf-norm", history, routes)
         if dxi is not None and np.abs(dxi).max() < config.tol:
-            return NllsResult(xi, it, "step-inf-norm", history)
+            return NllsResult(xi, it, "step-inf-norm", history, routes)
         if it >= config.max_iter:
-            return NllsResult(xi, it, "max-iterations", history)
+            return NllsResult(xi, it, "max-iterations", history, routes)
         if it - anchor >= STALL_WINDOW:
-            return NllsResult(xi, it, "stalled", history)
+            return NllsResult(xi, it, "stalled", history, routes)
         J = np.atleast_2d(np.asarray(jacobian(xi), dtype=float))
-        dxi = lstsq(J, -L, method=config.method)
+        dxi = None
+        if config.method == "svd-pinv":
+            dxi = _certified_qr_step(J, -L)
+        if dxi is not None:
+            routes.append("qr")
+        else:
+            dxi = lstsq(J, -L, method=config.method)
+            routes.append("svd" if config.method == "svd-pinv"
+                          else config.method)
+        log.debug("nlls iteration %d: residual inf-norm %.3e, route %s",
+                  it, history[-1], routes[-1])
         xi = xi + dxi
         it += 1

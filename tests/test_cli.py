@@ -111,6 +111,26 @@ def test_linear_report_has_empty_residual_history(tmp_path, runner):
     assert "residual_history" not in keys and "reason" in keys
 
 
+def test_report_lists_step_routes_outside_metrics(tmp_path, runner):
+    doc = yaml.safe_load(SIMPLE_CONFIG)
+    doc["residuals"] = ["u_xx + u_yy + u^2 + 10"]  # Gauss-Newton, stalls
+    del doc["analytic"]
+    out = tmp_path / "r.json"
+    runner.invoke(cli.main, ["solve", "--config",
+                             _write(tmp_path, yaml.safe_dump(doc)),
+                             "--out", str(out)])
+    rep = json.loads(out.read_text())
+    routes = rep["step_routes"]
+    assert len(routes) == rep["metrics"]["iterations"] > 0
+    assert set(routes) <= {"qr", "svd"}
+    assert "step_routes" not in rep["metrics"]
+    lin = tmp_path / "lin.json"
+    runner.invoke(cli.main, ["solve", "--config",
+                             _write(tmp_path, SIMPLE_CONFIG, "lin.yaml"),
+                             "--out", str(lin)])
+    assert json.loads(lin.read_text())["step_routes"] == []
+
+
 def _assert_named_exit_1(result, *fragments):
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)  # no uncaught error
@@ -266,6 +286,15 @@ def _duplicate_constraint(doc):
     (_basis(family=[1]), ("config error", "dependent[0].basis.family", "[1]")),
     (_basis(family={"kind": "chebyshev"}),
      ("config error", "dependent[0].basis.family", "'kind'")),
+    # a number as a residual, once an AssertionError traceback
+    (lambda doc: doc.update(residuals=[1]),
+     ("config error", "residuals[0]", "expression string", "1")),
+    # a seed or name of the wrong type, each once solved with exit 0 and
+    # written into the report as given
+    (lambda doc: doc.update(seed="abc"), ("config error", "seed", "'abc'")),
+    (lambda doc: doc.update(seed=-1), ("config error", "seed", ">= 0", "-1")),
+    (lambda doc: doc.update(seed=True), ("config error", "seed", "True")),
+    (lambda doc: doc.update(name=[1]), ("config error", "name", "[1]")),
 ])
 def test_problem_errors_named_without_traceback(tmp_path, runner, edit,
                                                 fragments):

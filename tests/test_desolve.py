@@ -850,6 +850,52 @@ def test_offsets_at_the_initial_extras_are_evaluated_once(monkeypatch):
     assert calls and set(calls) == {"balloon-54km"}
 
 
+def test_step_routes_balloon_qr_and_split_svd():
+    # the balloon Jacobians (560 x 202) are tall and certified; the split's
+    # (400 x 379) are near-square and stay on xGELSD
+    rep, _ = P.solve_balloon(52)
+    assert rep.step_routes == ["qr"] * rep.iterations and rep.iterations
+    split = D.solve_split(*P.convection_diffusion_split(1.0))
+    assert split.step_routes == ["svd"] * split.iterations
+    assert split.iterations
+
+
+def test_balloon_state_is_a_secant_predictor(monkeypatch):
+    # the state carries the last two (altitude, solution) pairs; 53 km,
+    # with one pair before it, starts from that solution, and 54 km from
+    # the linear extrapolation of 52 and 53 km, extras clamped
+    starts = []
+
+    def recording(residual, jacobian, xi0, config=None):
+        starts.append(np.array(xi0, dtype=float))
+        return nlls(residual, jacobian, xi0, config)
+
+    monkeypatch.setattr(D, "nlls", recording)
+    _, s52 = P.solve_balloon(52)
+    assert [alt for alt, _ in s52] == [52]
+    _, s53 = P.solve_balloon(53, warm_start=s52)
+    assert [alt for alt, _ in s53] == [52, 53]
+    np.testing.assert_array_equal(s53[0][1], s52[0][1])
+    np.testing.assert_array_equal(starts[-1], s52[0][1])
+    rep54, s54 = P.solve_balloon(54, warm_start=s53)
+    assert [alt for alt, _ in s54] == [53, 54]
+    (a0, x52), (a1, x53) = s53
+    secant = x53 + (54 - a1) / (a1 - a0) * (x53 - x52)
+    bld = D.ProblemBuild(P.balloon(54))
+    width = bld.layout.width
+    np.testing.assert_array_equal(starts[-1][:width], secant[:width])
+    extras, _ = bld.clamp_extras(dict(zip(("beta", "ell"), secant[width:])))
+    np.testing.assert_array_equal(starts[-1][width:], list(extras.values()))
+    assert rep54.reason == "residual-inf-norm"
+    # an extrapolated extra past its bound starts on the bound
+    far = ((53, s53[1][1]), (54, s54[1][1] + np.r_[np.zeros(width), 0, 1e3]))
+    P.solve_balloon(55, warm_start=far)
+    assert starts[-1][-1] == P.balloon(55).extras[1].upper
+    # a bare solution vector, the state's format before the pairs, is named
+    with pytest.raises(ValueError, match=r"\(altitude, solution\) pairs"):
+        P.solve_balloon(55, warm_start=s54[1][1])
+
+
 def test_embedded_constraints_hold_regardless_of_convergence():
     # even arbitrary coefficients satisfy the boundary data at machine precision
     bld = D.ProblemBuild(P.simple_pde(6, 5))

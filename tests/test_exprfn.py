@@ -123,6 +123,24 @@ def test_partial_tag_canonicalization():
     assert E.evaluate(e, {"u_xy": 3.5}) == 0.0
 
 
+def _canonical_by_regex(name):
+    """Reference for ``canonical_partial_name``: the tag regex on every name."""
+    m = E._PARTIAL_RE.match(name)
+    return name if m is None else m.group(1) + "_" + "".join(
+        sorted(m.group(2)))
+
+
+@given(st.one_of(
+    st.from_regex(r"[A-Za-z][A-Za-z0-9]{0,3}(_[A-Za-z]{1,4})?", fullmatch=True),
+    st.text(alphabet="uvxyzAB09_ .", max_size=8)))
+@settings(max_examples=300, deadline=None)
+def test_canonical_partial_name_matches_the_regex_on_every_name(name):
+    # names without "_" return before the regex; the result is the same
+    assert E.canonical_partial_name(name) == _canonical_by_regex(name)
+    for tag, canon in (("u_yx", "u_xy"), ("theta", "theta"), ("u_", "u_")):
+        assert E.canonical_partial_name(tag) == canon
+
+
 def test_mixed_partial_symmetry_numeric():
     e = E.parse("sin(x*y) + x^2*y^3 + exp(x - y)")
     dxy = E.differentiate(E.differentiate(e, "x"), "y")

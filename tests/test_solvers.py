@@ -1,6 +1,8 @@
+import logging
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -335,3 +337,143 @@ def test_config_validation():
         S.NllsConfig(tol=0.0)
     with pytest.raises(ValueError):
         S.NllsConfig(max_iter=0)
+
+
+# ---------------------------------------------------------------------------
+# the certified QR step inside Gauss-Newton
+
+def _one_step(A, b):
+    """One Gauss-Newton step from zero on A xi = b: (step, route)."""
+    out = S.nlls(lambda x: A @ x - b, lambda x: A, np.zeros(A.shape[1]),
+                 S.NllsConfig(max_iter=1))
+    assert out.iterations == 1
+    return out.xi, out.step_routes[0]
+
+
+@st.composite
+def _tall_steps(draw):
+    """A tall system with k live columns, m >= floor(1.6 k), zero columns
+    inserted, and live singular values 1 = s_1 >= ... >= s_k:
+    "full-rank": kappa up to 1e6; "above" and "below": s_k a factor
+    3/2..3 above or 1/20..7/10 of the cutoff rcond * s_1; "scaled": a
+    full-rank system with column norms spread over 1e-4..1e4."""
+    kind = draw(st.sampled_from(["full-rank", "above", "below", "scaled"]))
+    k = draw(st.integers(1 if kind in ("full-rank", "scaled") else 2, 20))
+    m = draw(st.integers(8 * k // 5, 3 * k + 5))
+    zeros = draw(st.integers(0, 3))
+    n = k + zeros
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rcond = 1e-14 * max(m, n)
+    if kind in ("above", "below"):
+        lo, hi = (1.5, 3.0) if kind == "above" else (0.05, 0.7)
+        s_min = draw(st.floats(lo, hi)) * rcond
+    else:
+        s_min = 10.0 ** -draw(st.floats(0.0, 6.0))
+    s = np.geomspace(1.0, s_min, k)
+    u = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    live_cols = (u * s) @ v.T
+    if kind == "scaled":
+        live_cols *= 10.0 ** rng.uniform(-4, 4, k)
+    A = np.zeros((m, n))
+    live = np.sort(rng.choice(n, k, replace=False))
+    A[:, live] = live_cols
+    return kind, A, rng.standard_normal(m), live
+
+
+@given(_tall_steps())
+@settings(max_examples=300, deadline=None)
+def test_certified_qr_step_matches_explicit_svd_reference(system):
+    # Bound, fixed before running: a certified step is the exact solution of
+    # a system whose columns moved by at most eps_c ||a_j|| (Householder QR,
+    # Higham Thm 19.4), a normwise perturbation of at most sqrt(n) eps_c
+    # ||A||_2; eps_b = 10 max(m, n) sqrt(n) u covers it and the reference's
+    # own backward error, so both lie within Wedin's bound (as in
+    # test_svd_pinv_matches_explicit_svd_reference, at full live rank) of
+    # the exact least-squares solution, and differ by at most twice it.
+    kind, A, b, live = system
+    step, route = _one_step(A, b)
+    rcond = 1e-14 * max(A.shape)
+    if route == "svd":
+        # the fallback is xGELSD on the untouched system
+        np.testing.assert_array_equal(
+            step, np.linalg.lstsq(A, b, rcond=rcond)[0])
+        assert kind != "full-rank"
+        return
+    assert route == "qr" and kind != "below"
+    dead = np.setdiff1d(np.arange(A.shape[1]), live)
+    assert not step[dead].any()
+    # the certificate proved that the cutoff keeps every live direction
+    s = np.linalg.svd(A[:, live], compute_uv=False)
+    assert s[-1] > rcond * s[0]
+    ref = _svd_pinv(A, b)
+    kappa = s[0] / s[-1]
+    eps_b = 10 * max(A.shape) * np.sqrt(A.shape[1]) * np.finfo(float).eps
+    assert kappa * eps_b < 0.5
+    x_norm = np.linalg.norm(ref)
+    rho = np.linalg.norm(A @ ref - b) / (s[0] * x_norm)
+    bound = 2 * kappa * eps_b / (1 - kappa * eps_b) * (2 + (kappa + 1) * rho)
+    assert np.linalg.norm(step - ref) <= bound * x_norm
+
+
+@given(st.integers(1, 20), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=100, deadline=None)
+def test_near_square_jacobian_never_attempts_qr(k, seed, data):
+    # m < floor(1.6 k) live-column rows, wide systems included
+    m = data.draw(st.integers(1, max(8 * k // 5 - 1, 1)))
+    assume(m < 8 * k // 5)
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, k))
+    b = rng.standard_normal(m)
+    with mock.patch.object(np.linalg, "qr", side_effect=AssertionError):
+        step, route = _one_step(A, b)
+    assert route == "svd"
+    np.testing.assert_array_equal(
+        step, np.linalg.lstsq(A, b, rcond=1e-14 * max(A.shape))[0])
+
+
+def test_fallback_hands_lstsq_the_callers_jacobian_unchanged():
+    rng = np.random.default_rng(5)
+    J = rng.standard_normal((40, 6))
+    J[:, 5] = J[:, 4]  # rank 5: the certificate fails
+    kept = J.copy()
+    b = rng.standard_normal(40)
+    seen = []
+    lstsq = np.linalg.lstsq
+
+    def spy(a, rhs, rcond=None):
+        seen.append(a)
+        return lstsq(a, rhs, rcond=rcond)
+
+    with mock.patch.object(np.linalg, "lstsq", spy):
+        step, route = _one_step(J, b)
+    assert route == "svd"
+    assert len(seen) == 1 and seen[0] is J
+    np.testing.assert_array_equal(J, kept)
+    np.testing.assert_array_equal(step, lstsq(kept, b, rcond=40e-14)[0])
+
+
+def test_other_methods_report_their_own_route():
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((30, 4))
+    b = rng.standard_normal(30)
+    for method in ("scaled-qr", "normal"):
+        out = S.nlls(lambda x: A @ x - b, lambda x: A, np.zeros(4),
+                     S.NllsConfig(max_iter=1, method=method))
+        assert out.step_routes == [method]
+
+
+def test_nlls_logs_one_debug_line_per_step(caplog):
+    res = lambda x: np.array([x[0] ** 2 - 4.0, x[0] - 2.0])
+    jac = lambda x: np.array([[2.0 * x[0]], [1.0]])
+    with caplog.at_level(logging.DEBUG, logger="funcon.solvers"):
+        out = S.nlls(res, jac, [1.0])
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "funcon.solvers"]
+    assert out.converged and len(lines) == out.iterations > 0
+    assert len(out.step_routes) == out.iterations
+    for it, (line, norm, route) in enumerate(
+            zip(lines, out.residual_history, out.step_routes)):
+        assert line == (f"nlls iteration {it}: residual inf-norm "
+                        f"{norm:.3e}, route {route}")
+    assert out.step_routes[0] == "qr"
