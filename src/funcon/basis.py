@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -326,32 +327,16 @@ class TensorFeature:
         self.families = tuple(families)
         self.maps = tuple(maps)
         self.total_degree = total_degree
-        self.indices = self._build_indices()
+        removed = [set(f.removal) for f in self.families]
+        # product order is lexicographic, so the indices come out sorted
+        self.indices = tuple(
+            idx for idx in product(*(range(f.degree + 1)
+                                     for f in self.families))
+            if (total_degree is None or sum(idx) <= total_degree)
+            and not all(i in r for i, r in zip(idx, removed)))
         # column j's basis index in dimension k is _idx[j, k]
         self._idx = np.asarray(self.indices, dtype=int).reshape(
             len(self.indices), len(self.families))
-
-    def _build_indices(self):
-        dims = len(self.families)
-        caps = [f.degree for f in self.families]
-        removed = [set(f.removal) for f in self.families]
-        out = []
-
-        def rec(prefix, remaining_dims, budget):
-            if not remaining_dims:
-                idx = tuple(prefix)
-                if not all(idx[k] in removed[k] for k in range(dims)):
-                    out.append(idx)
-                return
-            k = dims - remaining_dims
-            top = caps[k] if budget is None else min(caps[k], budget)
-            for i in range(top + 1):
-                rec(prefix + [i], remaining_dims - 1,
-                    None if budget is None else budget - i)
-
-        rec([], dims, self.total_degree)
-        out.sort()
-        return tuple(out)
 
     @property
     def count(self):

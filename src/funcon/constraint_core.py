@@ -229,11 +229,7 @@ class ExprKappa:
         n = pts.shape[0]
         key = tuple((name, d) for name, d in zip(ctx.var_names, orders) if d)
         e, present = self._partial(key)
-        bindings = dict(ctx.params)
-        for j, name in enumerate(ctx.var_names):
-            bindings[name] = pts[:, j]
-        if extras:
-            bindings.update(extras)
+        bindings = ctx.bindings(pts, extras)
         off = np.broadcast_to(np.asarray(exprfn.evaluate(e, bindings), dtype=float),
                               (n,)).copy()
         grads = {}
@@ -496,6 +492,16 @@ class FieldContext:
 
     var_names: tuple
     params: dict = dc_field(default_factory=dict)
+
+    def bindings(self, pts, extras=None):
+        """The names an expression reads at ``pts``: the params, each
+        variable's coordinate column and the extras."""
+        b = dict(self.params)
+        for j, name in enumerate(self.var_names):
+            b[name] = pts[:, j]
+        if extras:
+            b.update(extras)
+        return b
 
 
 class Field:

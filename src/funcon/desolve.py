@@ -59,6 +59,7 @@ from funcon.constraint_core import (
     Constraint,
     ConstraintOperator,
     DefiniteIntegral,
+    ExprField,
     ExprKappa,
     FeatureField,
     FieldContext,
@@ -72,7 +73,7 @@ from funcon.constraint_core import (
     as_kappa,
 )
 from funcon.exprfn import Expr
-from funcon.solvers import NllsConfig, lstsq, nlls
+from funcon.solvers import CONVERGED_REASONS, NllsConfig, lstsq, nlls
 
 __all__ = [
     "NonAffineResidualError",
@@ -112,6 +113,11 @@ class IndependentVar:
     interval: tuple
     points: int
     spacing: str = "cgl"  # cgl | uniform
+
+    def __post_init__(self):
+        if self.spacing not in ("cgl", "uniform"):
+            raise ValueError(f"independent variable {self.name!r}: spacing "
+                             f"must be 'cgl' or 'uniform', got {self.spacing!r}")
 
     def nodes(self):
         lo, hi = self.interval
@@ -198,6 +204,24 @@ class DeProblem:
                     raise ValueError(f"name {name!r} is declared as "
                                      f"{kinds[name]} and as {kind}")
                 kinds[name] = kind
+        if self.mode not in ("embedded", "spectral"):
+            raise ValueError(f"mode must be 'embedded' or 'spectral', got "
+                             f"{self.mode!r}")
+        dims = tuple(v.name for v in self.independent)
+        for dep in self.dependent:
+            for cs in dep.constraints:
+                if cs.dim not in dims:
+                    raise ValueError(
+                        f"dependent variable {dep.name!r}: constraint on "
+                        f"{cs.dim!r}, which is not an independent variable "
+                        f"{dims}")
+        if self.test_points is not None and (
+                len(self.test_points) != len(dims) or not all(
+                    isinstance(c, (int, np.integer)) and c >= 1
+                    for c in self.test_points)):
+            raise ValueError(f"test_points must be one integer count >= 1 per "
+                             f"independent variable {dims}, got "
+                             f"{self.test_points!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +458,7 @@ class ProblemBuild:
         return out
 
     def base_bindings(self, pts, extras):
-        b = dict(self.problem.params)
-        for j, name in enumerate(self.var_names):
-            b[name] = pts[:, j]
-        if extras:
-            b.update(extras)
-        return b
+        return self.ctx.bindings(pts, extras)
 
     def evaluate_solution(self, dep_name, pts, xi, extras):
         """Values (n,) of one dependent variable at coefficients ``xi``.
@@ -468,9 +487,8 @@ class ProblemBuild:
         expr = self.problem.analytic.get(dep_name)
         if expr is None:
             return pred, None
-        truth = exprfn.evaluate(_as_expr(expr), self.base_bindings(pts, extras))
-        return pred, np.broadcast_to(np.asarray(truth, dtype=float),
-                                     (pts.shape[0],))
+        truth = ExprField(_as_expr(expr), self.var_names, self.problem.params)
+        return pred, truth.eval(pts, (0,) * len(self.var_names), extras).offset
 
 
 def _operators_on_table(ce, feature):
@@ -628,27 +646,17 @@ class InequalityClamp:
 
     def __init__(self, inner, f_lo, f_hi, var_names=("x",)):
         self.inner = inner
-        self.f_lo = _as_expr(f_lo) if not callable(f_lo) else f_lo
-        self.f_hi = _as_expr(f_hi) if not callable(f_hi) else f_hi
         self.var_names = tuple(var_names)
-
-    def _bound(self, f, pts, orders):
-        if callable(f):
-            return np.asarray(f(pts, orders), dtype=float)
-        e = f
-        for name, d in zip(self.var_names, orders):
-            if d:
-                e = exprfn.differentiate(e, name, d)
-        bindings = {name: pts[:, j] for j, name in enumerate(self.var_names)}
-        return np.broadcast_to(np.asarray(exprfn.evaluate(e, bindings),
-                                          dtype=float), (pts.shape[0],))
+        self.f_lo, self.f_hi = (
+            CallableField(f, var_names) if callable(f)
+            else ExprField(_as_expr(f), var_names) for f in (f_lo, f_hi))
 
     def eval(self, pts, orders=None):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         orders = tuple(orders or (0,) * len(self.var_names))
         zero = (0,) * len(self.var_names)
-        lo = self._bound(self.f_lo, pts, zero)
-        hi = self._bound(self.f_hi, pts, zero)
+        lo = self.f_lo.eval(pts, zero).offset
+        hi = self.f_hi.eval(pts, zero).offset
         if np.any(lo > hi):
             raise ValueError("inconsistent clamp bounds: f_lo > f_hi")
         inner0 = np.asarray(self.inner.eval(pts, zero), dtype=float)
@@ -657,9 +665,9 @@ class InequalityClamp:
         if any(orders):
             out = np.asarray(self.inner.eval(pts, orders), dtype=float).copy()
             if below.any():
-                out[below] = self._bound(self.f_lo, pts, orders)[below]
+                out[below] = self.f_lo.eval(pts, orders).offset[below]
             if above.any():
-                out[above] = self._bound(self.f_hi, pts, orders)[above]
+                out[above] = self.f_hi.eval(pts, orders).offset[above]
             return out
         return np.where(below, lo, np.where(above, hi, inner0))
 
@@ -677,7 +685,7 @@ class SolveReport:
     max_error: float = None
     mean_error: float = None
     iterations: int = 0
-    # linear | residual-inf-norm | step-inf-norm (converged);
+    # linear or one of ``CONVERGED_REASONS`` (converged);
     # max-iterations | stalled | non-finite (not converged)
     reason: str = "linear"
     wall_seconds: float = 0.0
@@ -691,7 +699,7 @@ class SolveReport:
 
     @property
     def converged(self):
-        return self.reason in ("linear", "residual-inf-norm", "step-inf-norm")
+        return self.reason in ("linear", *CONVERGED_REASONS)
 
 
 def _test_errors(bld, xi, extras):
@@ -806,14 +814,13 @@ def solve_split(problem: DeProblem, split: SplitSpec, seed=None) -> SolveReport:
         xi_full = np.concatenate(list(report.xi.values()))
         (count,) = problem.test_points
         errs = []
-        truth_expr = _as_expr(problem.analytic[dep.name])
+        truth = ExprField(_as_expr(problem.analytic[dep.name]), (iv.name,),
+                          problem.params)
         for nm, lo, hi in ((dep.name + "1", x0, xp), (dep.name + "2", xp, xf)):
             xs = np.linspace(lo, hi, count)
             z = -1.0 + 2.0 * (xs - lo) / (hi - lo)
             pred = bld.evaluate_solution(nm, z[:, None], xi_full, report.extras)
-            truth = exprfn.evaluate(truth_expr,
-                                    {**problem.params, iv.name: xs})
-            errs.append(np.abs(pred - np.asarray(truth)))
+            errs.append(np.abs(pred - truth.eval(xs[:, None], (0,)).offset))
         err = np.concatenate(errs)
         report.max_error = float(err.max())
         report.mean_error = float(err.mean())

@@ -341,10 +341,6 @@ def _neg(a):
     return Neg(a)
 
 
-def _call(fn, arg):
-    return Call(fn, arg)
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -466,7 +462,7 @@ def _diff(e, var):
                 # d(u^n) = n u^(n-1) u'
                 return _mul(_mul(b, _pow(a, Num(b.value - 1.0))), da)
             # general: u^v (v' ln u + v u'/u)
-            term = _add(_mul(db, _call("ln", a)), _div(_mul(b, da), a))
+            term = _add(_mul(db, Call("ln", a)), _div(_mul(b, da), a))
             return _mul(_pow(a, b), term)
         raise AssertionError(e.op)
     if isinstance(e, Call):
@@ -474,25 +470,25 @@ def _diff(e, var):
         du = _diff(u, var)
         fn = e.fn
         if fn == "sin":
-            outer = _call("cos", u)
+            outer = Call("cos", u)
         elif fn == "cos":
-            outer = _neg(_call("sin", u))
+            outer = _neg(Call("sin", u))
         elif fn == "tan":
-            outer = _div(Num(1.0), _pow(_call("cos", u), Num(2.0)))
+            outer = _div(Num(1.0), _pow(Call("cos", u), Num(2.0)))
         elif fn == "sinh":
-            outer = _call("cosh", u)
+            outer = Call("cosh", u)
         elif fn == "cosh":
-            outer = _call("sinh", u)
+            outer = Call("sinh", u)
         elif fn == "tanh":
-            outer = _sub(Num(1.0), _pow(_call("tanh", u), Num(2.0)))
+            outer = _sub(Num(1.0), _pow(Call("tanh", u), Num(2.0)))
         elif fn == "exp":
-            outer = _call("exp", u)
+            outer = Call("exp", u)
         elif fn == "ln":
             outer = _div(Num(1.0), u)
         elif fn == "sqrt":
-            outer = _div(Num(0.5), _call("sqrt", u))
+            outer = _div(Num(0.5), Call("sqrt", u))
         elif fn == "abs":
-            outer = _call("sign", u)
+            outer = Call("sign", u)
         elif fn == "sign":
             outer = Num(0.0)
         else:
@@ -578,7 +574,7 @@ def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
     if isinstance(e, Neg):
         return _neg(substitute(e.arg, name, replacement))
     if isinstance(e, Call):
-        return _call(e.fn, substitute(e.arg, name, replacement))
+        return Call(e.fn, substitute(e.arg, name, replacement))
     if isinstance(e, Bin):
         ops = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _pow}
         return ops[e.op](substitute(e.left, name, replacement),

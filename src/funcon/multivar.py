@@ -75,29 +75,36 @@ def _precedences(constraints_by_dim):
             if j != l]
 
 
+def _topological(nodes, edges):
+    """``nodes`` in an order that puts a before b for every edge (a, b),
+    the lowest ready node first (Kahn's algorithm); None when the edges
+    have a cycle."""
+    succ = {v: set() for v in nodes}
+    indeg = dict.fromkeys(nodes, 0)
+    for a, b in edges:
+        if b not in succ[a]:
+            succ[a].add(b)
+            indeg[b] += 1
+    ready = [v for v in nodes if indeg[v] == 0]
+    order = []
+    while ready:
+        v = min(ready)
+        ready.remove(v)
+        order.append(v)
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+    return order if len(order) == len(nodes) else None
+
+
 def order_dimensions(constraints_by_dim: dict) -> ProcessingOrder:
     """Valid processing order; deterministic (lowest dimension index first
     among the ready set).  Raises CyclicIntegralDependencyError if integral
     constraints' integration variables refer to one another."""
-    dims = sorted(constraints_by_dim)
     forced = _precedences(constraints_by_dim)
-    succ = {d: set() for d in dims}
-    indeg = {d: 0 for d in dims}
-    for a, b in forced:
-        if b not in succ[a]:
-            succ[a].add(b)
-            indeg[b] += 1
-    order = []
-    ready = sorted(d for d in dims if indeg[d] == 0)
-    while ready:
-        d = ready.pop(0)
-        order.append(d)
-        for nxt in sorted(succ[d]):
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-        ready.sort()
-    if len(order) != len(dims):
+    order = _topological(sorted(constraints_by_dim), forced)
+    if order is None:
         raise CyclicIntegralDependencyError(
             "integral constraints' integration variables refer to one another; "
             "no valid processing order exists")
@@ -278,16 +285,6 @@ class ComponentGraph:
         return np.array(self.adjacency, dtype=int).reshape(n, n)
 
 
-def _is_nilpotent(A):
-    n = A.shape[0]
-    P = (A != 0).astype(int)
-    for _ in range(n):
-        if not P.any():
-            return True
-        P = ((P @ (A != 0).astype(int)) != 0).astype(int)
-    return not P.any()
-
-
 def enumerate_component_graphs(component_constraints, variables) -> list:
     """All acyclic directed graphs for a set of component constraints.
 
@@ -321,8 +318,8 @@ def enumerate_component_graphs(component_constraints, variables) -> list:
             A[index[src], index[dst]] = 1
             outs = edges_by_constraint[ci]
             outs[src] = outs.get(src, 0) + 1
-        if not _is_nilpotent(A):
-            continue
+        if np.linalg.matrix_power(A != 0, n).any():
+            continue  # not nilpotent: the graph has a cycle
         key = A.tobytes()
         if key in seen:
             continue
@@ -338,27 +335,12 @@ def enumerate_component_graphs(component_constraints, variables) -> list:
             assignment.append(owner[0])
         if not ok:
             continue
-        build = _leaves_first_order(A, variables)
+        # leaves first: every edge's target before its source
+        build = tuple(variables[i] for i in _topological(
+            range(n), np.argwhere(A.T).tolist()))
         graphs.append(ComponentGraph(variables, tuple(assignment),
                                      tuple(A.ravel().tolist()), build))
     return graphs
-
-
-def _leaves_first_order(A, variables):
-    n = len(variables)
-    done = [False] * n
-    order = []
-    while len(order) < n:
-        for i in range(n):
-            if done[i]:
-                continue
-            if all(done[j] or A[i, j] == 0 for j in range(n)):
-                order.append(variables[i])
-                done[i] = True
-                break
-        else:  # pragma: no cover - guarded by nilpotency
-            raise AssertionError("cycle in accepted graph")
-    return tuple(order)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ damping or line search; divergence control (e.g. clamped unknowns) is the
 caller's job.  Stopping conditions, in order: a non-finite residual,
 residual infinity norm below tol, step infinity norm below tol, iteration
 count past max_iter, and a stall (``STALL_WINDOW`` iterations without the
-residual infinity norm halving).  Only the residual and step stops count as
-converged; "max-iterations", "stalled" and "non-finite" do not.
+residual infinity norm halving).  Only the residual and step stops,
+``CONVERGED_REASONS``, count as converged; "max-iterations", "stalled" and
+"non-finite" do not.
 
 Every least-squares route runs on numpy's own LAPACK (``np.linalg``);
 svd-pinv is LAPACK's divide-and-conquer least squares, xGELSD, and the QR
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "CONVERGED_REASONS",
     "LSQ_METHODS",
     "RankDeficientError",
     "lstsq",
@@ -43,6 +45,9 @@ __all__ = [
 ]
 
 LSQ_METHODS = ("normal", "qr", "scaled-qr", "svd-pinv", "cholesky")
+
+# the Gauss-Newton stop reasons that count as converged
+CONVERGED_REASONS = ("residual-inf-norm", "step-inf-norm")
 
 # Gauss-Newton iterations without the residual inf-norm halving before it
 # stops as "stalled"; ``nlls`` says why 5
@@ -151,8 +156,6 @@ def lstsq(A: np.ndarray, b: np.ndarray, method: str = "scaled-qr") -> np.ndarray
         raise ValueError(f"{method} path needs rows >= cols, got {A.shape}")
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         return np.full(A.shape[1], np.nan)
-    if method == "normal":
-        return np.linalg.solve(A.T @ A, A.T @ b)
     if method == "qr":
         return _qr_solve(A, b)
     if method == "scaled-qr":
@@ -161,12 +164,14 @@ def lstsq(A: np.ndarray, b: np.ndarray, method: str = "scaled-qr") -> np.ndarray
         return _qr_solve(A / norms, b) / norms
     if method == "svd-pinv":
         return np.linalg.lstsq(A, b, rcond=_svd_rcond(A.shape))[0]
-    if method == "cholesky":
-        try:
-            c = np.linalg.cholesky(A.T @ A)
-        except np.linalg.LinAlgError as err:
-            raise RankDeficientError(str(err)) from err
-        return np.linalg.solve(c.T, np.linalg.solve(c, A.T @ b))
+    # normal or cholesky: numpy's LinAlgError on a singular A^T A, named
+    try:
+        if method == "normal":
+            return np.linalg.solve(A.T @ A, A.T @ b)
+        c = np.linalg.cholesky(A.T @ A)
+    except np.linalg.LinAlgError as err:
+        raise RankDeficientError(str(err)) from err
+    return np.linalg.solve(c.T, np.linalg.solve(c, A.T @ b))
 
 
 @dataclass
@@ -186,7 +191,7 @@ class NllsConfig:
 class NllsResult:
     xi: np.ndarray
     iterations: int
-    # residual-inf-norm | step-inf-norm (converged);
+    # one of ``CONVERGED_REASONS`` (converged);
     # max-iterations | stalled | non-finite (not converged)
     reason: str
     residual_history: list = field(default_factory=list)
@@ -196,7 +201,7 @@ class NllsResult:
 
     @property
     def converged(self):
-        return self.reason in ("residual-inf-norm", "step-inf-norm")
+        return self.reason in CONVERGED_REASONS
 
 
 def nlls(residual, jacobian, xi0, config: NllsConfig = None) -> NllsResult:

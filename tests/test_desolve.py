@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -1059,6 +1060,44 @@ def test_partial_along_unknown_dimension_rejected():
 def test_problem_names_must_be_distinct(change, message):
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(first_order_ode(), **change)
+
+
+def _spacing(problem, spacing):
+    first, *rest = problem.independent
+    return dict(independent=(dataclasses.replace(first, spacing=spacing),
+                             *rest))
+
+
+def _extra_constraint(problem, dim):
+    (dep,) = problem.dependent
+    con = D.ConstraintSpec(dim, ({"order": 0, "at": 0.0},), 0.0)
+    return dict(dependent=(dataclasses.replace(
+        dep, constraints=(*dep.constraints, con)),))
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda p: dict(mode="Spectral"),
+     "mode must be 'embedded' or 'spectral', got 'Spectral'"),
+    (lambda p: _spacing(p, "CGL"),
+     "independent variable 'x': spacing must be 'cgl' or 'uniform', "
+     "got 'CGL'"),
+    (lambda p: dict(test_points=(20,)),
+     "test_points must be one integer count >= 1 per independent variable "
+     "('x', 'y'), got (20,)"),
+    (lambda p: dict(test_points=(0, 5)),
+     "test_points must be one integer count >= 1 per independent variable "
+     "('x', 'y'), got (0, 5)"),
+    (lambda p: _extra_constraint(p, "q"),
+     "dependent variable 'u': constraint on 'q', which is not an "
+     "independent variable ('x', 'y')"),
+], ids=["mode", "spacing", "test-points-length", "test-points-zero",
+        "constraint-dim"])
+def test_bad_declarations_name_the_field_and_value(change, message):
+    # each used to solve silently or end in a bare IndexError, ValueError
+    # or KeyError from deep inside the build
+    problem = P.simple_pde(8, 6)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(problem, **change(problem))
 
 
 def test_builtin_problems_declare_distinct_names():

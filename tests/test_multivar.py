@@ -3,6 +3,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funcon import constraint_core as C
 from funcon import exprfn as E
@@ -63,6 +65,62 @@ def test_mutually_referencing_integrals_rejected():
             1: [con(1.0, point(0, 0.0, foreign=((0, 0.0, 1.0),)))]}
     with pytest.raises(M.CyclicIntegralDependencyError):
         M.order_dimensions(cons)
+
+
+def _lowest_ready_order(nodes, before):
+    """Reference order: repeatedly take the lowest node whose every
+    required predecessor is taken (``before`` holds pairs (a, b), a before
+    b); None when no node is ready."""
+    order, left = [], sorted(nodes)
+    while left:
+        ready = [v for v in left
+                 if all(a in order for a, b in before if b == v)]
+        if not ready:
+            return None
+        order.append(ready[0])
+        left.remove(ready[0])
+    return order
+
+
+def _foreign_integral_constraints(n, precedences):
+    """Dimensions 0..n-1, each with a point constraint, plus one integral
+    over dimension j inside a constraint on l per precedence (l, j)."""
+    cons = {k: [con(0.0, point(0, 0.0))] for k in range(n)}
+    for l, j in precedences:
+        cons[l].append(con(1.0, point(0, 1.0, foreign=((j, 0.0, 1.0),))))
+    return cons
+
+
+@st.composite
+def _precedence_sets(draw, cyclic):
+    n = draw(st.integers(2, 4))
+    perm = draw(st.permutations(range(n)))
+    pairs = [(perm[a], perm[b]) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=6))
+    if cyclic:  # a cycle through the first k dimensions of perm
+        k = draw(st.integers(2, n))
+        edges += [(perm[i], perm[(i + 1) % k]) for i in range(k)]
+        edges = draw(st.permutations(edges))
+    return n, edges
+
+
+@given(_precedence_sets(cyclic=False))
+@settings(max_examples=100, deadline=None)
+def test_order_respects_precedences_lowest_ready_first(case):
+    n, edges = case
+    order = M.order_dimensions(_foreign_integral_constraints(n, edges))
+    assert sorted(order.forced) == sorted(edges)
+    for l, j in edges:
+        assert order.order.index(l) < order.order.index(j)
+    assert list(order.order) == _lowest_ready_order(range(n), edges)
+
+
+@given(_precedence_sets(cyclic=True))
+@settings(max_examples=50, deadline=None)
+def test_cyclic_precedences_raise(case):
+    n, edges = case
+    with pytest.raises(M.CyclicIntegralDependencyError):
+        M.order_dimensions(_foreign_integral_constraints(n, edges))
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +372,26 @@ def test_component_graphs_example_yields_six():
         for _ in range(2):
             P = P @ A
         assert not P.any()  # nilpotent (3 nodes)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_build_order_puts_edge_targets_first(data):
+    variables = ("u", "v", "w", "z")[:data.draw(st.integers(2, 4))]
+    constraints = data.draw(st.lists(
+        st.lists(st.sampled_from(variables), min_size=2, max_size=3,
+                 unique=True).map(tuple), min_size=1, max_size=3))
+    for g in M.enumerate_component_graphs(constraints, variables):
+        A = g.adjacency_matrix()
+        assert sorted(g.build_order) == sorted(variables)
+        pos = {v: i for i, v in enumerate(g.build_order)}
+        for i, j in zip(*np.nonzero(A)):
+            assert pos[variables[j]] < pos[variables[i]]
+        # leaves first, the lowest-index ready variable at each step
+        before = [(j, i) for i, j in zip(*np.nonzero(A))]
+        assert g.build_order == tuple(
+            variables[k] for k in _lowest_ready_order(range(len(variables)),
+                                                       before))
 
 
 def test_single_component_constraint_two_graphs():

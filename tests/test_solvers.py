@@ -73,7 +73,7 @@ def test_rank_deficiency_raises_for_qr_and_cholesky():
     A[:, 2] = np.arange(6)
     A[:, 1] = A[:, 0] * 2
     b = np.ones(6)
-    for method in ("qr", "scaled-qr", "cholesky"):
+    for method in ("qr", "scaled-qr", "cholesky", "normal"):
         with pytest.raises(S.RankDeficientError):
             S.lstsq(A, b, method)
     # the svd path returns the min-norm solution instead
