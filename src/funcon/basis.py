@@ -16,7 +16,9 @@ expression whose every dimension acts on functions of that dimension alone
 projects each 1-D table, T - phi (C T): ``eval(pts, orders, projection)``
 multiplies the projected tables into the expression's coefficient rows, and
 ``values(pts, orders, coef, projection)`` contracts them with coef into the
-expression's coefficient part, without rows either way.
+expression's coefficient part, without rows either way.  An ``ElmFeature``
+evaluates its matrix, and ``values`` its products with coef, ``ROW_BLOCK``
+rows at a time.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "TensorFeature",
     "ElmFeature",
     "NATIVE_DOMAINS",
+    "ROW_BLOCK",
 ]
 
 NATIVE_DOMAINS = {
@@ -220,6 +223,12 @@ def eval_basis(family: BasisFamily, domain_map: DomainMap, x,
 
 # ---------------------------------------------------------------------------
 # ELM random features
+
+# Rows per block wherever a full (npoints, width) temporary is avoided: the
+# ELM feature matrix and its products, and the recursive constrained
+# expression's gathered terms.  Every entry takes the same operations in
+# any block, so the block size moves no bit.
+ROW_BLOCK = 256
 
 _ELM_ACTIVATIONS = ("sin", "tanh", "sigmoid", "swish", "relu")
 
@@ -410,18 +419,34 @@ class ElmFeature:
         return self.family.neurons
 
     def eval(self, pts: np.ndarray, orders) -> np.ndarray:
+        """Mixed-partial feature matrix, shape (npoints, neurons), written
+        ``ROW_BLOCK`` rows at a time into one preallocated array, so the
+        pre-activations and the activation's temporaries never exist at
+        full size."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         z = np.column_stack([m.to_basis(pts[:, k]) for k, m in enumerate(self.maps)])
-        arg = z @ self.family.weights.T + self.family.biases
         total = int(sum(orders))
-        vals = _activation_deriv(self.family.activation, arg, total)
         scale = np.ones(self.family.neurons)
         for k, d in enumerate(orders):
             if d:
                 scale = scale * (self.family.weights[:, k] * self.maps[k].slope) ** d
-        return vals * scale if total else vals
+        out = np.empty((z.shape[0], self.count))
+        for lo in range(0, z.shape[0], ROW_BLOCK):
+            arg = z[lo:lo + ROW_BLOCK] @ self.family.weights.T + self.family.biases
+            vals = _activation_deriv(self.family.activation, arg, total)
+            if total:
+                np.multiply(vals, scale, out=out[lo:lo + ROW_BLOCK])
+            else:
+                out[lo:lo + ROW_BLOCK] = vals
+        return out
 
     def values(self, pts: np.ndarray, orders, coef) -> np.ndarray:
         """Mixed partial of h(x)^T coef, shape (npoints,); random features
-        are not separable, so this is the feature matrix times coef."""
-        return self.eval(pts, orders) @ coef
+        are not separable, so this is the feature matrix times coef, one
+        block of ``ROW_BLOCK`` rows at a time."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        out = np.empty(pts.shape[0])
+        for lo in range(0, pts.shape[0], ROW_BLOCK):
+            out[lo:lo + ROW_BLOCK] = self.eval(pts[lo:lo + ROW_BLOCK],
+                                               orders) @ coef
+        return out

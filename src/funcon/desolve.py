@@ -31,7 +31,8 @@ contract xi with the projected tables one dimension at a time, plus the
 offsets.  Spectral mode, with no CE, takes the plain tables.  ELM features,
 foreign integrals and component kappas take the recursive CE around
 h(x)^T xi, whose values the feature's ``values`` gives without building
-rows.
+rows.  The linear path assembles its matrix one partial tag at a time
+(``assemble_linear``), holding one tag's rows at once.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from funcon.constraint_core import (
     _ae_add,
     _ae_scale,
     _apply_op_to_field,
+    _place_columns,
     apply_operator_columns,
     as_kappa,
 )
@@ -411,24 +413,28 @@ class ProblemBuild:
             used[name], gates[name] = clamp_scalar(value, spec.lower, spec.upper)
         return used, gates
 
-    def partial_evals(self, pts, extras):
-        """Coefficient rows, offset and extras gradients per partial tag.
+    def partial_evals(self, pts, extras, tags=None):
+        """Coefficient rows, offset and extras gradients per partial tag:
+        of ``tags``, or of every tag in tag order when None.
 
         A dependent variable in ``projections`` takes its rows from the
         tensor feature's projected 1-D tables and its offset and gradients
         from the CE of the zero function, which carries every kappa term.
         The recursive CE around h(x)^T xi serves only the others (ELM
-        features, foreign integrals, component kappas) and the offsets."""
+        features, foreign integrals, component kappas) and the offsets.
+        The arrays are fresh, as a ``Field``'s are."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         out = {}
-        for tag, (base, orders) in self._tags.items():
+        for tag in self._tags if tags is None else tags:
+            base, orders = self._tags[tag]
             if base not in self.projections:
                 out[tag] = self.fields[base].eval(pts, orders, extras)
                 continue
             off = self.offsets[base].eval(pts, orders, extras)
-            rows = np.zeros((pts.shape[0], self.layout.width))
-            rows[:, self.layout.slice_of(base)] = self.features[base].eval(
-                pts, orders, projection=self.projections[base])
+            rows = _place_columns(
+                lambda: self.features[base].eval(
+                    pts, orders, projection=self.projections[base]),
+                pts.shape[0], self.layout.slice_of(base), self.layout.width)
             out[tag] = AffineEval(rows, off.offset, off.grads)
         return out
 
@@ -525,19 +531,55 @@ def _tag_under_sign(e, tags):
 
 def assemble_linear(bld: ProblemBuild, pts=None):
     """(A, b) for affine residuals: the first Gauss-Newton system at zero
-    coefficients, A = J(0) and b = -L(0) from ``assemble_nonlinear``.  One
-    row per residual per grid point, then spectral mode's constraint rows.
-    Columns are ordered dependent variable by dependent variable, retained
-    basis index within."""
+    coefficients, A = J(0) and b = -L(0), bit for bit as
+    ``assemble_nonlinear``'s closures give them.  One row per residual per
+    grid point, then spectral mode's constraint rows.  Columns are ordered
+    dependent variable by dependent variable, retained basis index within.
+
+    The partial tags are evaluated one at a time: each tag's rows are
+    scaled by its coefficient in every residual that mentions it, added
+    into that residual's block of A, and dropped, so A and one tag's rows
+    are the only full-size arrays held.  The blocks sum their tags in tag
+    order, as the Jacobian does.  The coefficients (the residuals' partials
+    in the tags) mention no tag, so they need the grid alone."""
     if bld.problem.extras:
         raise NonAffineResidualError("extras require the nonlinear path")
     if not bld.is_affine():
         raise NonAffineResidualError(
             f"residual {exprfn.to_source(bld._nonaffine)!r} is not affine in "
             f"the unknowns")
-    residual, jacobian = assemble_nonlinear(bld, pts)
-    q0 = np.zeros(bld.layout.width)
-    return jacobian(q0), -residual(q0)
+    pts = bld.grid() if pts is None else pts
+    n, width = pts.shape[0], bld.layout.width
+    bindings = bld.base_bindings(pts, {})
+    coefs = [{tag: _on_grid(d, bindings, n) for tag, d in partials.items()}
+             for partials in bld._partials]
+    cons = bld.constraint_evals(bld.fields, {})
+    A = np.zeros((len(coefs) * n + sum(len(c.offset) for c in cons), width))
+    blocks = [A[i * n:(i + 1) * n] for i in range(len(coefs))]
+    xi0 = np.zeros(width)
+    for tag in bld._tags:
+        (ev,) = bld.partial_evals(pts, {}, (tag,)).values()
+        bindings[tag] = ev.rows @ xi0 + ev.offset
+        uses = [i for i, coef in enumerate(coefs) if tag in coef]
+        for i in uses:
+            c = coefs[i][tag][:, None]
+            # the rows are this evaluation's own: the last use scales them
+            blocks[i] += np.multiply(c, ev.rows, out=ev.rows) \
+                if i == uses[-1] else c * ev.rows
+        del ev  # before the next tag's rows are made
+    start = len(coefs) * n
+    for c in cons:
+        A[start:start + len(c.offset)] = c.rows
+        start += len(c.offset)
+    b = np.concatenate([_on_grid(r, bindings, n) for r in bld._residuals]
+                       + [c.rows @ xi0 + c.offset for c in cons])
+    return A, -b
+
+
+def _on_grid(e, bindings, n):
+    """An expression's values at the n grid points, broadcast to (n,)."""
+    return np.broadcast_to(np.asarray(exprfn.evaluate(e, bindings),
+                                      dtype=float), (n,))
 
 
 def assemble_nonlinear(bld: ProblemBuild, pts=None):
@@ -582,9 +624,7 @@ def assemble_nonlinear(bld: ProblemBuild, pts=None):
 
     def residual(q):
         xi, _, _, cons, bindings = state(q)
-        out = [np.broadcast_to(np.asarray(exprfn.evaluate(r, bindings),
-                                          dtype=float), (n,))
-               for r in bld._residuals]
+        out = [_on_grid(r, bindings, n) for r in bld._residuals]
         out += [cr @ xi + c.offset for cr, c in zip(con_rows, cons)]
         return np.concatenate(out)
 
@@ -593,9 +633,7 @@ def assemble_nonlinear(bld: ProblemBuild, pts=None):
         blocks = []
         for partials in bld._partials:
             J = np.zeros((n, width + len(extra_names)))
-            coef = {nm: np.broadcast_to(np.asarray(
-                exprfn.evaluate(d, bindings), dtype=float), (n,))
-                for nm, d in partials.items()}
+            coef = {nm: _on_grid(d, bindings, n) for nm, d in partials.items()}
             dfdt = {tag: c for tag, c in coef.items() if tag in bld._tags}
             for tag, c in dfdt.items():
                 J[:, :width] += c[:, None] * rows[tag]

@@ -71,8 +71,11 @@ def _foreign_integrals(constraints_by_dim):
 
 
 def _precedences(constraints_by_dim):
+    """(l, j) for an integral over dimension j inside a constraint on l:
+    l's CE is processed before j's.  A dimension without constraints has no
+    CE, so an integral over it orders nothing."""
     return [(l, j) for l, j, _, _ in _foreign_integrals(constraints_by_dim)
-            if j != l]
+            if j != l and constraints_by_dim.get(j)]
 
 
 def _topological(nodes, edges):

@@ -387,6 +387,20 @@ def test_support_span_invariance():
             assert a == pytest.approx(b, abs=1e-12)
 
 
+def test_evaluate_ce_gives_each_alternating_probe_its_own_rho():
+    # rho = kappa - C[g] is remembered for the last probe object only
+    ce = C.build_univariate_ce(POINT_CONSTRAINTS, C.MonomialSupports([0, 2, 3]))
+    probes = [PolyProbe([1.0, -2.0, 0.5, 3.0]),
+              PolyProbe([0.25, 1.0, -1.0, 0.0, 2.0])]
+    for x in np.linspace(-1.0, 3.0, 7):
+        for g in probes + probes[::-1]:
+            fresh = C.build_univariate_ce(POINT_CONSTRAINTS,
+                                          C.MonomialSupports([0, 2, 3]))
+            assert C.evaluate_ce(ce, g, x) == C.evaluate_ce(fresh, g, x)
+            assert C.evaluate_ce(ce, CEProbe(ce, g), x) == \
+                C.evaluate_ce(fresh, CEProbe(fresh, g), x)
+
+
 def test_switching_kronecker_property():
     ce = C.build_univariate_ce(POINT_CONSTRAINTS, C.MonomialSupports([0, 2, 3]))
     assert ce.kronecker_defect() < 1e-12
@@ -822,3 +836,79 @@ def test_gathered_operator_without_rows_equals_zero_rows(
                                 {"c": 0.7})
     assert got.rows is None
     _assert_same_affine(got, want, 2)
+
+
+# ---------------------------------------------------------------------------
+# a CE composes in its inner field's result, so results are the caller's own
+
+def _aliasing_ces():
+    """A CE on x (value and slope) around one on y (an integral with an
+    expression kappa)."""
+    on_x = C.build_univariate_ce([C.Constraint.point(1.0, 0.0),
+                                  C.Constraint(op_point((1, 1.0)),
+                                               C.ConstKappa(-0.5))], dim=0)
+    on_y = C.build_univariate_ce([C.Constraint(
+        C.ConstraintOperator([C.DefiniteIntegral(0.0, 1.0)]),
+        C.ExprKappa(E.parse("x")))], dim=1)
+    return on_y, on_x
+
+
+def _grid_20x20():
+    # 400 rows: the gathered terms span two row blocks
+    axis = np.linspace(0.0, 1.0, 20)
+    return np.array(np.meshgrid(axis, axis, indexing="ij")).reshape(2, -1).T
+
+
+def test_ce_evaluations_share_no_arrays():
+    ctx = C.FieldContext(("x", "y"))
+    feature = B.ElmFeature(B.ElmFamily("tanh", 12, 2, seed=5),
+                           [B.DomainMap(0.0, 1.0, 0.0, 1.0)] * 2)
+    field = C.FeatureField(ctx, feature, slice(0, 12), 12)
+    for ce in _aliasing_ces():
+        field = C.CEField(field, ce)
+    pts = _grid_20x20()
+    first = field.eval(pts, (1, 0))
+    kept = first.rows.copy(), first.offset.copy()
+    second = field.eval(pts, (1, 0))
+    for got in (first, second):
+        np.testing.assert_array_equal(got.rows, kept[0])
+        np.testing.assert_array_equal(got.offset, kept[1])
+    assert not np.shares_memory(first.rows, second.rows)
+
+
+def test_ce_rows_agree_across_row_blocks():
+    # 400 rows span two row blocks; each half of them fits in one
+    ctx = C.FieldContext(("x", "y"))
+    feature = B.TensorFeature([B.BasisFamily("chebyshev", 5)] * 2,
+                              [B.DomainMap(0.0, 1.0, -1.0, 1.0)] * 2)
+    field = C.FeatureField(ctx, feature, slice(0, feature.count),
+                           feature.count)
+    for ce in _aliasing_ces():
+        field = C.CEField(field, ce)
+    pts = _grid_20x20()
+    whole = field.eval(pts, (1, 0))
+    halves = [field.eval(half, (1, 0)) for half in (pts[:200], pts[200:])]
+    np.testing.assert_allclose(whole.rows, np.vstack([h.rows for h in halves]),
+                               rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(
+        whole.offset, np.concatenate([h.offset for h in halves]),
+        rtol=1e-13, atol=1e-13)
+
+
+def test_ce_leaves_a_probes_arrays_unchanged():
+    # the probe hands out arrays it keeps
+    truth = C.ExprField(E.parse("x^2*y + y^3"), ("x", "y"))
+    handed = []
+
+    def values(p, orders):
+        out = truth.eval(p, orders).offset
+        handed.append((out, out.copy()))
+        return out
+
+    field = C.CallableField(values, ("x", "y"))
+    for ce in _aliasing_ces():
+        field = C.CEField(field, ce)
+    field.eval(_grid_20x20(), (1, 0))
+    assert handed
+    for out, copy in handed:
+        np.testing.assert_array_equal(out, copy)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 
 import numpy as np
@@ -117,16 +118,81 @@ def test_infinite_domain_families_solve_on_a_window(family, window):
         D.ProblemBuild(_decay_ode(family, {}))
 
 
-@pytest.mark.parametrize("mode", ["embedded", "spectral"])
-def test_assemble_linear_is_the_first_gauss_newton_system(mode):
-    # affine residual: A = J(q) for any q and b = -L(0), from the same closures
-    bld = D.ProblemBuild(P.simple_pde(8, 6, mode=mode))
+# affine problems whose linear system is assembled tag by tag
+_LINEAR = {
+    "embedded": lambda: P.simple_pde(8, 6),
+    "spectral": lambda: P.simple_pde(8, 6, mode="spectral"),
+    # 400 points: the ELM rows and the CE's gathered terms span two blocks
+    "elm": lambda: P.simple_pde_xtfc(20, neurons=30, seed=1),
+    # eight partial tags in one residual
+    "many-tags": lambda: P.biharmonic_polar(8, 8),
+    # derivative constraint rows
+    "spectral-wave1d": lambda: dataclasses.replace(P.wave1d(8, 6),
+                                                   mode="spectral"),
+    # y_x in both residuals: its rows are scaled in place at the last only
+    "shared-tags": lambda: dataclasses.replace(
+        first_order_ode(m=4),
+        residuals=("(1 + x)*y_x - 1 - x", "x*y_x + y - x - 2")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LINEAR))
+def test_assemble_linear_is_the_first_gauss_newton_system(name):
+    # affine residual: A = J(q) for any q and b = -L(0), bit for bit as the
+    # closures give them
+    bld = D.ProblemBuild(_LINEAR[name]())
     A, b = D.assemble_linear(bld)
     res, jac = D.assemble_nonlinear(bld)
     q = np.random.default_rng(2).standard_normal(bld.layout.width)
     np.testing.assert_array_equal(A, jac(q))
     np.testing.assert_array_equal(b, -res(np.zeros(bld.layout.width)))
     np.testing.assert_allclose(A @ q - b, res(q), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: P.simple_pde_xtfc(48, neurons=100, seed=1),
+    lambda: P.biharmonic_polar(20, 14),
+], ids=["elm", "tensor"])
+def test_linear_assembly_holds_three_full_size_arrays(make):
+    # Held at once, in (n, width) float arrays for n grid points: A (one
+    # residual), one tag's rows and one working array of the feature (a
+    # tensor feature's gathered factor; an ELM feature's temporaries are
+    # ROW_BLOCK rows each).  The allowance of six ROW_BLOCK-row arrays
+    # covers those temporaries, the CE's terms on the distinct points, the
+    # 1-D tables and the n-vectors.  Holding every tag's rows (2 and 8
+    # here) until A is formed exceeds it.
+    bld = D.ProblemBuild(make())
+    pts = bld.grid()
+    width = bld.layout.width
+    tracemalloc.start()
+    try:
+        D.assemble_linear(bld, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * pts.shape[0] * width * 8 + 6 * B.ROW_BLOCK * width * 8
+
+
+def test_integral_over_a_dimension_without_constraints():
+    # y has no CE, so the integral over y in a constraint on x orders
+    # nothing; both constraints on x hold for any coefficients
+    base = P.simple_pde(8, 6)
+    (dep,) = base.dependent
+    integral = D.ConstraintSpec("x", ({"order": 0, "at": 1.0,
+                                       "integral_over": ["y", 0.0, 1.0]},), 0.5)
+    bld = D.ProblemBuild(dataclasses.replace(base, dependent=(
+        dataclasses.replace(dep, constraints=(dep.constraints[0], integral)),)))
+    assert M.order_dimensions(bld.constraints["u"]).forced == ()
+    z, w = C.gauss_legendre(0.0, 1.0)
+    ys = np.linspace(0.0, 1.0, 5)
+    for seed in range(3):
+        xi = np.random.default_rng(seed).standard_normal(bld.layout.width)
+        on_x1 = bld.evaluate_solution(
+            "u", np.column_stack([np.ones_like(z), z]), xi, {})
+        on_x0 = bld.evaluate_solution(
+            "u", np.column_stack([np.zeros_like(ys), ys]), xi, {})
+        assert abs(w @ on_x1 - 0.5) <= 1e-13
+        np.testing.assert_allclose(on_x0, ys**3, rtol=0, atol=1e-13)
 
 
 def _spectral_with_extra(n, extra):

@@ -53,3 +53,14 @@ def test_tracer_installs_and_uninstalls():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_benchmark_self_check_passes_on_the_linear_workloads():
+    # perfbench/check.py: every layer a workload uses is called, counts
+    # repeat and traced results equal untraced ones.  gauss-newton is left
+    # out, because check.py keys its repeat_calls count on id().
+    check = ROOT / "perfbench" / "check.py"
+    done = subprocess.run([sys.executable, str(check), "tensor-poly",
+                           "elm-features"], capture_output=True, text=True,
+                          timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
