@@ -379,8 +379,9 @@ class TensorFeature:
         ``projection`` (see ``_tables``), the rows of the constrained
         expression that projects those dimensions."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        cols = np.ones((pts.shape[0], self.count))
-        for k, table in enumerate(self._tables(pts, orders, projection)):
+        first, *rest = self._tables(pts, orders, projection)
+        cols = first[:, self._idx[:, 0]]
+        for k, table in enumerate(rest, 1):
             cols *= table[:, self._idx[:, k]]
         return cols
 

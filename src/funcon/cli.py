@@ -437,54 +437,6 @@ def _suite_simple_pde(seeds):
     return rows
 
 
-def _suite_simple_pde_spectral(seeds):
-    rep = solve(problems.simple_pde(15, 15, mode="spectral"))
-    return [_row("simple-pde-spectral", 15, 15, rep)]
-
-
-def _best_of(rows):
-    best = min(rows, key=lambda r: r["max_error"])
-    summary = dict(best)
-    summary["seed"] = "best"
-    return rows + [summary]
-
-
-def _suite_simple_pde_xtfc(seeds):
-    rows = []
-    for seed in seeds:
-        rep = solve(problems.simple_pde_xtfc(15, 132, seed), seed=seed)
-        rows.append(_row("simple-pde-xtfc", 15, 132, rep, seed))
-    return _best_of(rows)
-
-
-def _suite_wave1d(seeds):
-    rep = solve(problems.wave1d())
-    return [_row("wave1d", 30, 20, rep)]
-
-
-def _suite_wave2d(seeds):
-    rep = solve(problems.wave2d_tfc())
-    return [_row("wave2d", 11, 9, rep)]
-
-
-def _suite_wave2d_xtfc(seeds):
-    rows = []
-    for seed in seeds:
-        rep = solve(problems.wave2d_xtfc(11, 650, seed), seed=seed)
-        rows.append(_row("wave2d-xtfc", 11, 650, rep, seed))
-    return _best_of(rows)
-
-
-def _suite_biharmonic_cart(seeds):
-    rep = solve(problems.biharmonic_cartesian())
-    return [_row("biharmonic-cart", 20, 26, rep)]
-
-
-def _suite_biharmonic_polar(seeds):
-    rep = solve(problems.biharmonic_polar())
-    return [_row("biharmonic-polar", 30, 30, rep)]
-
-
 def _suite_convection_diffusion(seeds):
     from funcon.desolve import solve_split
     rows = []
@@ -506,15 +458,39 @@ def _suite_balloon(seeds):
     return rows
 
 
+def _one(problem_id, n, m, make):
+    """A suite of one row: the solve of ``make()``."""
+    return lambda seeds: [_row(problem_id, n, m, solve(make()))]
+
+
+def _per_seed(problem_id, n, m, make):
+    """A suite of one row per seed, the solve of ``make(seed)``, then the
+    row of least ``max_error`` again with seed "best"."""
+    def suite(seeds):
+        rows = [_row(problem_id, n, m, solve(make(seed), seed=seed), seed)
+                for seed in seeds]
+        best = min(rows, key=lambda r: r["max_error"])
+        return rows + [{**best, "seed": "best"}]
+    return suite
+
+
 SUITES = {
     "simple-pde": _suite_simple_pde,
-    "simple-pde-spectral": _suite_simple_pde_spectral,
-    "simple-pde-xtfc": _suite_simple_pde_xtfc,
-    "wave1d": _suite_wave1d,
-    "wave2d": _suite_wave2d,
-    "wave2d-xtfc": _suite_wave2d_xtfc,
-    "biharmonic-cart": _suite_biharmonic_cart,
-    "biharmonic-polar": _suite_biharmonic_polar,
+    "simple-pde-spectral": _one(
+        "simple-pde-spectral", 15, 15,
+        lambda: problems.simple_pde(15, 15, mode="spectral")),
+    "simple-pde-xtfc": _per_seed(
+        "simple-pde-xtfc", 15, 132,
+        lambda seed: problems.simple_pde_xtfc(15, 132, seed)),
+    "wave1d": _one("wave1d", 30, 20, problems.wave1d),
+    "wave2d": _one("wave2d", 11, 9, problems.wave2d_tfc),
+    "wave2d-xtfc": _per_seed(
+        "wave2d-xtfc", 11, 650,
+        lambda seed: problems.wave2d_xtfc(11, 650, seed)),
+    "biharmonic-cart": _one("biharmonic-cart", 20, 26,
+                            problems.biharmonic_cartesian),
+    "biharmonic-polar": _one("biharmonic-polar", 30, 30,
+                             problems.biharmonic_polar),
     "convection-diffusion": _suite_convection_diffusion,
     "balloon": _suite_balloon,
 }

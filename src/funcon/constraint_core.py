@@ -36,8 +36,10 @@ field at the distinct points of the other coordinates only: rho_j =
 kappa_j - C_j[g] is constant in x_k, so on a grid with n_k nodes along x_k
 the inner field is evaluated at n / n_k points per tap, and the results
 are gathered back to every row.  A field's evaluation returns arrays its
-caller owns, so each level adds its terms into the inner level's result in
-place, gathering ``basis.ROW_BLOCK`` rows at a time.
+caller owns, so every combination of evaluations is made in place
+(``_ae_iadd``, ``_ae_iscale``), and one kernel, ``_add_rho``, adds each
+term phi_j rho_j into the rows, the offset and each gradient of the inner
+level's result, gathering the rows ``basis.ROW_BLOCK`` at a time.
 """
 
 from __future__ import annotations
@@ -199,6 +201,12 @@ def apply_operator(op: ConstraintOperator, f) -> float:
 # ---------------------------------------------------------------------------
 # kappa variants
 
+def _on_grid(e, bindings, n):
+    """An expression's values at n points, broadcast to (n,) (read-only)."""
+    return np.broadcast_to(np.asarray(exprfn.evaluate(e, bindings),
+                                      dtype=float), (n,))
+
+
 @dataclass(frozen=True)
 class ConstKappa:
     value: float
@@ -233,16 +241,10 @@ class ExprKappa:
         key = tuple((name, d) for name, d in zip(ctx.var_names, orders) if d)
         e, present = self._partial(key)
         bindings = ctx.bindings(pts, extras)
-        off = np.broadcast_to(np.asarray(exprfn.evaluate(e, bindings), dtype=float),
-                              (n,)).copy()
-        grads = {}
-        if extras:
-            for name in extras:
-                if name in present:
-                    ge, _ = self._partial(key + ((name, 1),))
-                    grads[name] = np.broadcast_to(
-                        np.asarray(exprfn.evaluate(ge, bindings), dtype=float),
-                        (n,)).copy()
+        off = _on_grid(e, bindings, n).copy()
+        grads = {name: _on_grid(self._partial(key + ((name, 1),))[0],
+                                bindings, n).copy()
+                 for name in extras or () if name in present}
         return AffineEval(None, off, grads)
 
 
@@ -289,7 +291,7 @@ class ComponentKappa:
                 pts2[:, j] = loc
                 orders2[j] = d
             ref = other.eval(pts2, tuple(orders2), extras)
-            out = _ae_add(out, _ae_scale(ref, -float(coeff)))
+            _ae_iadd(out, _ae_iscale(ref, -float(coeff)))
         return out
 
 
@@ -456,25 +458,9 @@ def _zero(n):
     return AffineEval(None, np.zeros(n), {})
 
 
-def _ae_add(a: AffineEval, b: AffineEval) -> AffineEval:
-    grads = dict(a.grads)
-    for k, v in b.grads.items():
-        grads[k] = grads[k] + v if k in grads else v
-    rows = b.rows if a.rows is None else \
-        a.rows if b.rows is None else a.rows + b.rows
-    return AffineEval(rows, a.offset + b.offset, grads)
-
-
-def _ae_scale(a: AffineEval, s) -> AffineEval:
-    s = np.asarray(s)
-    mul = s[:, None] if s.ndim == 1 else s
-    return AffineEval(None if a.rows is None else a.rows * mul, a.offset * s,
-                      {k: v * s for k, v in a.grads.items()})
-
-
 def _ae_iadd(a: AffineEval, b: AffineEval) -> AffineEval:
-    """``_ae_add(a, b)`` written into a's arrays, which the caller owns;
-    b's arrays may become a's."""
+    """a + b written into a's arrays, which the caller owns; b's arrays
+    may become a's.  Absent rows (None) act as zero rows."""
     if a.rows is None:
         a.rows = b.rows
     elif b.rows is not None:
@@ -488,24 +474,15 @@ def _ae_iadd(a: AffineEval, b: AffineEval) -> AffineEval:
     return a
 
 
-def _ae_iscale(a: AffineEval, s: float) -> AffineEval:
-    """``_ae_scale(a, s)`` for a scalar s, written into a's arrays, which
-    the caller owns."""
+def _ae_iscale(a: AffineEval, s) -> AffineEval:
+    """a times s, a scalar or one factor per row, written into a's arrays,
+    which the caller owns."""
     if a.rows is not None:
-        a.rows *= s
+        a.rows *= s[:, None] if np.ndim(s) else s
     a.offset *= s
     for v in a.grads.values():
         v *= s
     return a
-
-
-def _gather(a: AffineEval, inverse) -> AffineEval:
-    """``a`` at the rows ``inverse`` indexes, or ``a`` itself for None."""
-    if inverse is None:
-        return a
-    return AffineEval(None if a.rows is None else a.rows[inverse],
-                      a.offset[inverse],
-                      {name: g[inverse] for name, g in a.grads.items()})
 
 
 @dataclass(frozen=True)
@@ -640,7 +617,8 @@ def _apply_op_distinct(op: ConstraintOperator, inner: Field, pts, orders, k,
     """(result, inverse): C^k_j applied to a multivariate field at the
     distinct points of the coordinates other than x_k, and the index of
     each row of ``pts`` into them (None when every row is distinct), so
-    ``_gather(result, inverse)`` is the operator at every row.
+    the result at the rows ``inverse`` indexes is the operator at every
+    row.
 
     Cross-derivative orders for the other dimensions are carried through
     (the own-dimension order is set by each tap; the result is constant in
@@ -673,39 +651,50 @@ def _apply_op_to_field(op: ConstraintOperator, inner: Field, pts, orders, k,
                        extras) -> AffineEval:
     """C^k_j applied to a multivariate field at every row of ``pts`` (see
     ``_apply_op_distinct``)."""
-    return _gather(*_apply_op_distinct(op, inner, pts, orders, k, extras))
+    a, inverse = _apply_op_distinct(op, inner, pts, orders, k, extras)
+    if inverse is None:
+        return a
+    return AffineEval(None if a.rows is None else a.rows[inverse],
+                      a.offset[inverse],
+                      {name: g[inverse] for name, g in a.grads.items()})
 
 
-def _add_rho_rows(out, kap, cg, inverse, p):
-    """The rows of out + (kap - cg[inverse]) * p[:, None], any of out, kap
-    and cg None for absent rows (zero), formed ``ROW_BLOCK`` rows at a time
-    into ``out``, so the gathered product never exists at full size.  Each
-    entry takes the operations of the full-size expression (a - b is
-    a + (-b) exactly)."""
+def _add_rho(out, kap, cg, inverse, p):
+    """out + (kap - cg[inverse]) * p for one array of an evaluation: its
+    rows (n, width), p per row, its offset or a gradient (n,); any of out,
+    kap and cg None when absent (zero).  Written into ``out``, or a fresh
+    array for None: rows ``ROW_BLOCK`` at a time, so the gathered product
+    never exists at full size, a vector in one block.  Each entry takes the
+    operations of the full-size expression (a - b is a + (-b) exactly)."""
     if kap is None and cg is None:
         return out
+    shape = (cg if kap is None else kap).shape[1:]
+    n = p.shape[0]
+    step = ROW_BLOCK if shape else n
+    if shape:
+        p = p[:, None]
     fresh = out is None
     if fresh:
-        out = np.empty((p.shape[0], (cg if kap is None else kap).shape[1]))
-    for lo in range(0, p.shape[0], ROW_BLOCK):
-        blk = slice(lo, lo + ROW_BLOCK)
+        out = np.empty((n, *shape))
+    for lo in range(0, n, step):
+        blk = slice(lo, lo + step)
         c = None if cg is None else cg[blk] if inverse is None \
             else cg[inverse[blk]]
         rho = -c if kap is None else kap[blk] if c is None else kap[blk] - c
         if fresh:
-            np.multiply(rho, p[blk, None], out=out[blk])
+            np.multiply(rho, p[blk], out=out[blk])
         else:
-            out[blk] += rho * p[blk, None]
+            out[blk] += rho * p[blk]
     return out
 
 
 class CEField(Field):
     """One univariate constrained expression applied around an inner field.
 
-    The inner field's result is its own (see ``Field``), so each term
-    phi_j (kappa_j - C_j[g]) is added into it in place.  C_j[g] keeps its
-    rows on the distinct points of the other coordinates, and its product
-    with phi_j is gathered and subtracted ``ROW_BLOCK`` rows at a time."""
+    The inner field's result is its own (see ``Field``), so ``_add_rho``
+    adds each term phi_j (kappa_j - C_j[g]) into its rows, offset and
+    gradients in place.  C_j[g] stays on the distinct points of the other
+    coordinates and is gathered back to every row inside that kernel."""
 
     def __init__(self, inner: Field, ce: UnivariateCE):
         super().__init__(inner.ctx)
@@ -718,9 +707,7 @@ class CEField(Field):
         k = self.ce.dim
         out = self.inner.eval(pts, orders, extras)
         phi = self.ce.switching(pts[:, k], d=orders[k])
-        cross = list(orders)
-        cross[k] = 0
-        cross = tuple(cross)
+        cross = orders[:k] + (0,) + orders[k + 1:]
         for j, con in enumerate(self.ce.constraints):
             p = phi[:, j]
             if not np.any(p):
@@ -728,15 +715,20 @@ class CEField(Field):
             kap = con.kappa.eval(self.ctx, pts, cross, extras)
             cg, inverse = _apply_op_distinct(con.operator, self.inner, pts,
                                              cross, k, extras)
-            out.rows = _add_rho_rows(out.rows, kap.rows, cg.rows, inverse, p)
-            kap.rows = cg.rows = None
-            rho = _ae_add(kap, _ae_scale(_gather(cg, inverse), -1.0))
-            _ae_iadd(out, _ae_scale(rho, p))
+            out.rows = _add_rho(out.rows, kap.rows, cg.rows, inverse, p)
+            out.offset = _add_rho(out.offset, kap.offset, cg.offset, inverse,
+                                  p)
+            for name in {**kap.grads, **cg.grads}:
+                out.grads[name] = _add_rho(out.grads.get(name),
+                                           kap.grads.get(name),
+                                           cg.grads.get(name), inverse, p)
+            del kap, cg  # before the next constraint's terms are made
         return out
 
 
 # ---------------------------------------------------------------------------
-# univariate convenience layer (the 1-D API used by tests and the ODE path)
+# univariate convenience layer: one CE around a scalar probe, with constant
+# kappas (fields, ODEs included, take ``CEField``)
 
 def evaluate_ce(ce: UnivariateCE, g, x, d=0):
     """y^(d)(x) for a univariate CE and probe free function g.

@@ -67,9 +67,10 @@ from funcon.constraint_core import (
     MonomialSupports,
     PointDeriv,
     UnknownLayout,
-    _ae_add,
-    _ae_scale,
+    _ae_iadd,
+    _ae_iscale,
     _apply_op_to_field,
+    _on_grid,
     _place_columns,
     apply_operator_columns,
     as_kappa,
@@ -211,11 +212,16 @@ class DeProblem:
                              f"{self.mode!r}")
         dims = tuple(v.name for v in self.independent)
         for dep in self.dependent:
-            for cs in dep.constraints:
-                if cs.dim not in dims:
+            # (field, dimension name) for each dimension the variable names
+            named = [("constraint", cs.dim) for cs in dep.constraints]
+            named += [("supports", d) for d in dep.supports]
+            named += [(f"basis {f}", d) for f in ("removal", "window")
+                      for d in getattr(dep.basis, f, ())]
+            for what, dim in named:
+                if dim not in dims:
                     raise ValueError(
-                        f"dependent variable {dep.name!r}: constraint on "
-                        f"{cs.dim!r}, which is not an independent variable "
+                        f"dependent variable {dep.name!r}: {what} on "
+                        f"{dim!r}, which is not an independent variable "
                         f"{dims}")
         if self.test_points is not None and (
                 len(self.test_points) != len(dims) or not all(
@@ -460,11 +466,8 @@ class ProblemBuild:
                 for con in cons:
                     lhs = _apply_op_to_field(con.operator, u, pts, zero, k, extras)
                     kap = con.kappa.eval(u.ctx, pts, zero, extras)
-                    out.append(_ae_add(lhs, _ae_scale(kap, -1.0)))
+                    out.append(_ae_iadd(lhs, _ae_iscale(kap, -1.0)))
         return out
-
-    def base_bindings(self, pts, extras):
-        return self.ctx.bindings(pts, extras)
 
     def evaluate_solution(self, dep_name, pts, xi, extras):
         """Values (n,) of one dependent variable at coefficients ``xi``.
@@ -550,7 +553,7 @@ def assemble_linear(bld: ProblemBuild, pts=None):
             f"the unknowns")
     pts = bld.grid() if pts is None else pts
     n, width = pts.shape[0], bld.layout.width
-    bindings = bld.base_bindings(pts, {})
+    bindings = bld.ctx.bindings(pts)
     coefs = [{tag: _on_grid(d, bindings, n) for tag, d in partials.items()}
              for partials in bld._partials]
     cons = bld.constraint_evals(bld.fields, {})
@@ -576,12 +579,6 @@ def assemble_linear(bld: ProblemBuild, pts=None):
     return A, -b
 
 
-def _on_grid(e, bindings, n):
-    """An expression's values at the n grid points, broadcast to (n,)."""
-    return np.broadcast_to(np.asarray(exprfn.evaluate(e, bindings),
-                                      dtype=float), (n,))
-
-
 def assemble_nonlinear(bld: ProblemBuild, pts=None):
     """Residual and exact-Jacobian closures over the stacked unknown vector
     [xi..., extras...]; extras enter through kappas and residual symbols with
@@ -593,7 +590,7 @@ def assemble_nonlinear(bld: ProblemBuild, pts=None):
     pts = bld.grid() if pts is None else pts
     width = bld.layout.width
     extra_names = [e.name for e in problem.extras]
-    bindings0 = bld.base_bindings(pts, {})
+    bindings0 = bld.ctx.bindings(pts)
     n = pts.shape[0]
     # rows are the same for any extras; the initial ones bind the kappas
     init, _ = bld.clamp_extras({e.name: e.init for e in problem.extras})

@@ -24,8 +24,8 @@ from funcon.constraint_core import (
     ConstraintOperator,
     Field,
     PointDeriv,
-    _ae_add,
-    _ae_scale,
+    _ae_iadd,
+    _ae_iscale,
     _apply_op_to_field,
     _zero,
     build_univariate_ce,
@@ -180,7 +180,7 @@ class _RhoField(Field):
         con = self.ce.constraints[self.j]
         kap = con.kappa.eval(self.ctx, pts, tuple(orders), extras)
         cg = _apply_op_to_field(con.operator, self.g, pts, tuple(orders), k, extras)
-        return _ae_add(kap, _ae_scale(cg, -1.0))
+        return _ae_iadd(kap, _ae_iscale(cg, -1.0))
 
 
 class _OpApplied(Field):
@@ -214,11 +214,7 @@ class TensorForm:
         out = g_field.eval(pts, zero_orders, extras)
         phis = []
         for ce in self.ces:
-            cols = [np.ones(n)]
-            sw = ce.switching(pts[:, ce.dim], d=0)
-            for j in range(len(ce.constraints)):
-                cols.append(sw[:, j])
-            phis.append(cols)
+            phis.append([np.ones(n), *ce.switching(pts[:, ce.dim], d=0).T])
         ranges = [range(len(ce.constraints) + 1) for ce in self.ces]
         for idx in product(*ranges):
             active = [pos for pos, i in enumerate(idx) if i > 0]
@@ -229,7 +225,7 @@ class TensorForm:
             scale = np.ones(n)
             for pos, i in enumerate(idx):
                 scale = scale * phis[pos][i]
-            out = _ae_add(out, _ae_scale(values, scale))
+            _ae_iadd(out, _ae_iscale(values, scale))
         return out
 
     def m_entry(self, g_field, active: dict) -> Field:
@@ -254,7 +250,7 @@ class _Scaled(Field):
         self.factor = factor
 
     def eval(self, pts, orders, extras=None):
-        return _ae_scale(self.inner.eval(pts, orders, extras), self.factor)
+        return _ae_iscale(self.inner.eval(pts, orders, extras), self.factor)
 
 
 def build_tensor_form(ces_in_order) -> TensorForm:

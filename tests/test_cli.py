@@ -439,6 +439,15 @@ def test_result_table_columns():
     assert rows[0]["mean_error"] < 1e-12
 
 
+def test_per_seed_suite_repeats_its_best_row():
+    rows = cli.run_suite("simple-pde-xtfc", range(2))
+    assert [r["seed"] for r in rows] == [0, 1, "best"]
+    assert rows[0]["max_error"] != rows[1]["max_error"]
+    best = min(rows[:2], key=lambda r: r["max_error"])
+    assert rows[2] == {**best, "seed": "best"}
+    assert list(rows[2]) == list(best)
+
+
 def test_elm_basis_via_config(tmp_path, runner):
     doc = yaml.safe_load(SIMPLE_CONFIG)
     doc["dependent"][0]["basis"] = {"family": "elm", "activation": "tanh",

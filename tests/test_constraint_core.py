@@ -604,7 +604,8 @@ def _magnitude(field, pts, orders, extras):
     """``field.eval`` with every term replaced by its magnitude: absolute
     coefficients, weights, kappas and switching products |S| |alpha|.  An
     ELM feature's magnitude A |w|^d (1 + |z| |w| + |b|) also bounds how far
-    rounding of its pre-activation w . z + b moves it, in units of eps."""
+    rounding of its pre-activation w . z + b moves it, in units of eps.
+    Every helper returns arrays of its own, so terms combine in place."""
     if isinstance(field, C.CEField):
         k = field.ce.dim
         out = _magnitude(field.inner, pts, orders, extras)
@@ -612,11 +613,11 @@ def _magnitude(field, pts, orders, extras):
             @ np.abs(field.ce.alpha)
         cross = tuple(0 if j == k else d for j, d in enumerate(orders))
         for j, con in enumerate(field.ce.constraints):
-            rho = C._ae_add(
+            rho = C._ae_iadd(
                 _kappa_magnitude(con.kappa, field.ctx, pts, cross, extras),
                 _operator_magnitude(con.operator, field.inner, pts, cross, k,
                                     extras))
-            out = C._ae_add(out, C._ae_scale(rho, phi[:, j]))
+            C._ae_iadd(out, C._ae_iscale(rho, phi[:, j]))
         return out
     feature = field.feature
     if isinstance(feature, B.ElmFeature):
@@ -651,7 +652,7 @@ def _kappa_magnitude(kappa, ctx, pts, orders, extras):
         pts2, orders2 = pts.copy(), list(orders)
         for j, (d, loc) in fixed.items():
             pts2[:, j], orders2[j] = loc, d
-        out = C._ae_add(out, C._ae_scale(
+        C._ae_iadd(out, C._ae_iscale(
             _magnitude(other, pts2, tuple(orders2), extras), abs(coeff)))
     return out
 
@@ -675,7 +676,7 @@ def _operator_magnitude(op, inner, pts, orders, k, extras):
             for (j, _, _), (t, w) in zip(axes, nodes):
                 pts2[:, j] = t
                 weight *= abs(w)
-            out = C._ae_add(out, C._ae_scale(
+            C._ae_iadd(out, C._ae_iscale(
                 _magnitude(inner, pts2, tuple(orders2), extras), weight))
     return out
 
@@ -750,6 +751,17 @@ def _with_zero_rows(ae, width):
     return C.AffineEval(rows, ae.offset, ae.grads)
 
 
+def _owned(ae):
+    """A copy of ``ae`` whose arrays are its own, to combine in place."""
+    return C.AffineEval(None if ae.rows is None else ae.rows.copy(),
+                        ae.offset.copy(),
+                        {name: g.copy() for name, g in ae.grads.items()})
+
+
+def _sum(a, b):
+    return C._ae_iadd(_owned(a), _owned(b))
+
+
 def _assert_same_affine(got, want, width):
     np.testing.assert_array_equal(_with_zero_rows(got, width).rows, want.rows)
     np.testing.assert_array_equal(got.offset, want.offset)
@@ -789,14 +801,17 @@ def _affine_evals(draw):
 def test_absent_rows_act_as_zero_rows(drawn):
     a, b, s, xi, width = drawn
     za, zb = _with_zero_rows(a, width), _with_zero_rows(b, width)
-    total = C._ae_add(a, b)
-    _assert_same_affine(total, C._ae_add(za, zb), width)
-    _assert_same_affine(C._ae_add(b, a), C._ae_add(zb, za), width)
-    _assert_same_affine(C._ae_scale(a, s), C._ae_scale(za, s), width)
+    left, right = _owned(a), _owned(b)
+    rows = right.rows if a.rows is None else left.rows
+    total = C._ae_iadd(left, right)
+    _assert_same_affine(total, _sum(za, zb), width)
+    _assert_same_affine(_sum(b, a), _sum(zb, za), width)
+    _assert_same_affine(C._ae_iscale(_owned(a), s),
+                        C._ae_iscale(_owned(za), s), width)
     np.testing.assert_array_equal(a.value(xi), za.value(xi))
-    # a sum with a side without rows takes the other side's rows as they are
-    if a.rows is None or b.rows is None:
-        assert total.rows is (b.rows if a.rows is None else a.rows)
+    # the sum is written into the left side's arrays; a left side without
+    # rows takes the right side's rows as they are
+    assert total is left and total.rows is rows
 
 
 class _ZeroRowsField(C.Field):
@@ -842,15 +857,20 @@ def test_gathered_operator_without_rows_equals_zero_rows(
 # a CE composes in its inner field's result, so results are the caller's own
 
 def _aliasing_ces():
-    """A CE on x (value and slope) around one on y (an integral with an
-    expression kappa)."""
+    """A CE on x (value and slope) around one on y (an integral).  The
+    kappas of the slope and the integral name the extra c, so gradients in
+    c come from the kappa alone, from C[g] alone and from both."""
     on_x = C.build_univariate_ce([C.Constraint.point(1.0, 0.0),
                                   C.Constraint(op_point((1, 1.0)),
-                                               C.ConstKappa(-0.5))], dim=0)
+                                               C.ExprKappa(E.parse("c*y")))],
+                                 dim=0)
     on_y = C.build_univariate_ce([C.Constraint(
         C.ConstraintOperator([C.DefiniteIntegral(0.0, 1.0)]),
-        C.ExprKappa(E.parse("x")))], dim=1)
+        C.ExprKappa(E.parse("x + c*(1 + x^2)")))], dim=1)
     return on_y, on_x
+
+
+_EXTRAS = {"c": 0.7}
 
 
 def _grid_20x20():
@@ -867,13 +887,17 @@ def test_ce_evaluations_share_no_arrays():
     for ce in _aliasing_ces():
         field = C.CEField(field, ce)
     pts = _grid_20x20()
-    first = field.eval(pts, (1, 0))
-    kept = first.rows.copy(), first.offset.copy()
-    second = field.eval(pts, (1, 0))
+    first = field.eval(pts, (1, 0), _EXTRAS)
+    kept = _owned(first)
+    second = field.eval(pts, (1, 0), _EXTRAS)
+    assert first.grads.keys() == {"c"}
     for got in (first, second):
-        np.testing.assert_array_equal(got.rows, kept[0])
-        np.testing.assert_array_equal(got.offset, kept[1])
-    assert not np.shares_memory(first.rows, second.rows)
+        _assert_same_affine(got, kept, 12)
+    arrays = [[ev.rows, ev.offset, *ev.grads.values()]
+              for ev in (first, second)]
+    for a in arrays[0]:
+        for b in arrays[1]:
+            assert not np.shares_memory(a, b)
 
 
 def test_ce_rows_agree_across_row_blocks():
@@ -886,13 +910,32 @@ def test_ce_rows_agree_across_row_blocks():
     for ce in _aliasing_ces():
         field = C.CEField(field, ce)
     pts = _grid_20x20()
-    whole = field.eval(pts, (1, 0))
-    halves = [field.eval(half, (1, 0)) for half in (pts[:200], pts[200:])]
-    np.testing.assert_allclose(whole.rows, np.vstack([h.rows for h in halves]),
-                               rtol=1e-13, atol=1e-13)
-    np.testing.assert_allclose(
-        whole.offset, np.concatenate([h.offset for h in halves]),
-        rtol=1e-13, atol=1e-13)
+    whole = field.eval(pts, (1, 0), _EXTRAS)
+    halves = [field.eval(half, (1, 0), _EXTRAS)
+              for half in (pts[:200], pts[200:])]
+    assert whole.grads.keys() == {"c"}
+    pairs = [(whole.rows, [h.rows for h in halves]),
+             (whole.offset, [h.offset for h in halves])]
+    pairs += [(g, [h.grads[name] for h in halves])
+              for name, g in whole.grads.items()]
+    for got, parts in pairs:
+        np.testing.assert_allclose(got, np.concatenate(parts),
+                                   rtol=1e-13, atol=1e-13)
+
+
+def test_ce_gradient_is_the_offsets_slope_in_an_extra():
+    # every kappa is affine in c, so the offset is too: its gradient, which
+    # the outer CE sums from its kappa and from C[g], is the exact slope
+    field = C.ExprField(E.parse("x^2*y + y^3"), ("x", "y"))
+    for ce in _aliasing_ces():
+        field = C.CEField(field, ce)
+    pts = _grid_20x20()
+    at = [field.eval(pts, (0, 0), {"c": c}) for c in (0.7, 1.7)]
+    assert at[0].grads.keys() == {"c"}
+    np.testing.assert_allclose(at[1].offset - at[0].offset,
+                               at[0].grads["c"], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(at[1].grads["c"], at[0].grads["c"],
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_ce_leaves_a_probes_arrays_unchanged():
@@ -908,7 +951,7 @@ def test_ce_leaves_a_probes_arrays_unchanged():
     field = C.CallableField(values, ("x", "y"))
     for ce in _aliasing_ces():
         field = C.CEField(field, ce)
-    field.eval(_grid_20x20(), (1, 0))
+    field.eval(_grid_20x20(), (1, 0), _EXTRAS)
     assert handed
     for out, copy in handed:
         np.testing.assert_array_equal(out, copy)

@@ -299,7 +299,7 @@ def _fresh_system(bld, pts, q):
         {nm: q[width + i] for i, nm in enumerate(names)})
     xi = q[:width]
     evals = bld.partial_evals(pts, extras)
-    bindings = bld.base_bindings(pts, extras)
+    bindings = bld.ctx.bindings(pts, extras)
     bindings.update({tag: ev.value(xi) for tag, ev in evals.items()})
     n = pts.shape[0]
 
@@ -1134,11 +1134,15 @@ def _spacing(problem, spacing):
                              *rest))
 
 
-def _extra_constraint(problem, dim):
+def _dependent(problem, **change):
     (dep,) = problem.dependent
+    return dict(dependent=(dataclasses.replace(dep, **change),))
+
+
+def _extra_constraint(problem, dim):
     con = D.ConstraintSpec(dim, ({"order": 0, "at": 0.0},), 0.0)
-    return dict(dependent=(dataclasses.replace(
-        dep, constraints=(*dep.constraints, con)),))
+    return _dependent(problem, constraints=(
+        *problem.dependent[0].constraints, con))
 
 
 @pytest.mark.parametrize("change,message", [
@@ -1156,8 +1160,19 @@ def _extra_constraint(problem, dim):
     (lambda p: _extra_constraint(p, "q"),
      "dependent variable 'u': constraint on 'q', which is not an "
      "independent variable ('x', 'y')"),
+    (lambda p: _dependent(p, supports={"q": (0, 1)}),
+     "dependent variable 'u': supports on 'q', which is not an "
+     "independent variable ('x', 'y')"),
+    (lambda p: _dependent(p, basis=D.BasisSpec("chebyshev", 6,
+                                               removal={"q": 2})),
+     "dependent variable 'u': basis removal on 'q', which is not an "
+     "independent variable ('x', 'y')"),
+    (lambda p: _dependent(p, basis=D.BasisSpec("chebyshev", 6,
+                                               window={"q": (0, 1)})),
+     "dependent variable 'u': basis window on 'q', which is not an "
+     "independent variable ('x', 'y')"),
 ], ids=["mode", "spacing", "test-points-length", "test-points-zero",
-        "constraint-dim"])
+        "constraint-dim", "supports-dim", "removal-dim", "window-dim"])
 def test_bad_declarations_name_the_field_and_value(change, message):
     # each used to solve silently or end in a bare IndexError, ValueError
     # or KeyError from deep inside the build
