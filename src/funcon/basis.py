@@ -377,12 +377,15 @@ class TensorFeature:
     def eval(self, pts: np.ndarray, orders, projection=None) -> np.ndarray:
         """Mixed-partial feature matrix, shape (npoints, count); with a
         ``projection`` (see ``_tables``), the rows of the constrained
-        expression that projects those dimensions."""
+        expression that projects those dimensions.  The other dimensions'
+        gathered factors are multiplied in ``ROW_BLOCK`` rows at a time."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         first, *rest = self._tables(pts, orders, projection)
         cols = first[:, self._idx[:, 0]]
-        for k, table in enumerate(rest, 1):
-            cols *= table[:, self._idx[:, k]]
+        for lo in range(0, len(cols), ROW_BLOCK):
+            for k, table in enumerate(rest, 1):
+                cols[lo:lo + ROW_BLOCK] *= table[lo:lo + ROW_BLOCK,
+                                                 self._idx[:, k]]
         return cols
 
     def values(self, pts: np.ndarray, orders, coef,

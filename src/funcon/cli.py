@@ -21,6 +21,7 @@ import numpy as np
 import yaml
 
 from funcon import exprfn, problems
+from funcon.basis import NATIVE_DOMAINS
 from funcon.desolve import (
     BasisSpec,
     ConstraintSpec,
@@ -298,7 +299,7 @@ def _basis_from_config(item, path, names):
                        _integer(item.get("seed", 0), f"{path}.seed", 0),
                        _pair(item.get("init_range", [-1.0, 1.0]),
                              f"{path}.init_range"))
-    if family in ("laguerre", "hermite-prob", "hermite-phys"):
+    if not all(map(math.isfinite, NATIVE_DOMAINS.get(family, ()))):
         raise ConfigError(f"{path}.family: {family!r} needs a finite window, "
                           "which only the library API sets (BasisSpec.window)")
     removal = {}

@@ -292,11 +292,10 @@ class ProblemBuild:
         # name -> {dim: (ce, C[T])}, T that dimension's full basis table
         self.projections = {}
         for dep in problem.dependent:
-            supports = {self.dim_index[d]: MonomialSupports(p)
-                        for d, p in dep.supports.items()}
+            cons_by_dim = {} if problem.mode == "spectral" \
+                else constraints[dep.name]
             order, ces = multivar.build_dimension_ces(
-                {} if problem.mode == "spectral" else constraints[dep.name],
-                supports)
+                cons_by_dim, self._supports(dep, cons_by_dim))
             # processed univariate CEs in processing order; none in spectral
             self.ces[dep.name] = tuple(ces[k] for k in order.order if k in ces)
             self.fields[dep.name] = self.compose(dep.name, FeatureField(
@@ -319,6 +318,23 @@ class ProblemBuild:
         self._nonaffine = next(
             (r for r, d in zip(self._residuals, self._partials)
              if not self._affine(r, d)), None)
+
+    def _supports(self, dep, cons_by_dim):
+        """The declared support bases by dimension index.  A constrained
+        dimension's basis needs one function per constraint and one per
+        augmentation row (another dimension's integral over it)."""
+        out = {}
+        for d, powers in dep.supports.items():
+            k = self.dim_index[d]
+            need = len(cons_by_dim.get(k, ())) + len(
+                multivar.integral_conditions_for(cons_by_dim, k))
+            if k in cons_by_dim and len(powers) != need:
+                raise ValueError(
+                    f"dependent variable {dep.name!r}: supports on {d!r} need "
+                    f"{need} functions (constraints + augmentation rows), got "
+                    f"{len(powers)}")
+            out[k] = MonomialSupports(powers)
+        return out
 
     def _maps(self, spec):
         from funcon.basis import NATIVE_DOMAINS
@@ -412,11 +428,14 @@ class ProblemBuild:
         return _mesh([np.linspace(v.interval[0], v.interval[1], c)
                       for v, c in zip(self.problem.independent, counts)])
 
-    def clamp_extras(self, raw: dict):
+    def clamp_extras(self, values):
+        """Clamped extras and their gates by name, from ``values`` in
+        declaration order: the unknown vector's tail ``q[width:]``, or the
+        inits."""
         used, gates = {}, {}
-        for name, value in raw.items():
-            spec = self.extras_spec[name]
-            used[name], gates[name] = clamp_scalar(value, spec.lower, spec.upper)
+        for spec, value in zip(self.problem.extras, values, strict=True):
+            used[spec.name], gates[spec.name] = clamp_scalar(
+                value, spec.lower, spec.upper)
         return used, gates
 
     def partial_evals(self, pts, extras, tags=None):
@@ -593,7 +612,7 @@ def assemble_nonlinear(bld: ProblemBuild, pts=None):
     bindings0 = bld.ctx.bindings(pts)
     n = pts.shape[0]
     # rows are the same for any extras; the initial ones bind the kappas
-    init, _ = bld.clamp_extras({e.name: e.init for e in problem.extras})
+    init, _ = bld.clamp_extras([e.init for e in problem.extras])
     evals = bld.partial_evals(pts, init)
     rows = {tag: ev.rows for tag, ev in evals.items()}
     cons0 = bld.constraint_evals(bld.fields, init)
@@ -605,8 +624,7 @@ def assemble_nonlinear(bld: ProblemBuild, pts=None):
 
     def state(q):
         xi = q[:width]
-        extras, gates = bld.clamp_extras(
-            {nm: q[width + i] for i, nm in enumerate(extra_names)})
+        extras, gates = bld.clamp_extras(q[width:])
         key = q[width:].tobytes()
         if key not in last:
             last.clear()
@@ -793,8 +811,7 @@ def _solve(bld, seed, x0, t0, closures=None):
     if not (np.isfinite(q).all() and np.isfinite(resid).all()):
         reason = "non-finite"
     xi = q[:width]
-    extras_used, _ = bld.clamp_extras(
-        {e.name: q[width + i] for i, e in enumerate(problem.extras)})
+    extras_used, _ = bld.clamp_extras(q[width:])
     max_err, mean_err = _test_errors(bld, xi, extras_used)
     return SolveReport(
         problem=problem.name,

@@ -3,8 +3,10 @@
 Used for boundary functions, forcing terms, analytic solutions, and
 declarative DE residuals.  The grammar covers real literals, named
 variables (including dependent-variable partial tags like ``u_xxy``),
-``+ - * / ^``, unary minus, the functions ``sin cos tan sinh cosh tanh
-exp ln sqrt abs sign`` and the constants ``pi`` and ``e``.
+``+ - * / ^``, unary minus, the constants ``pi`` and ``e`` and the
+functions of ``_FUNCTIONS``, one row each: numpy function, domain test
+and message, derivative rule.  Each binary operator is one entry of
+``_BINARY`` (numeric operation) and of ``_BUILD`` (simplifying constructor).
 
 Expressions are immutable; evaluation is reentrant and accepts scalars
 or numpy arrays as bindings.  Simplification is deliberately limited to
@@ -14,6 +16,7 @@ constant folding and 0/1 identities.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -39,10 +42,6 @@ __all__ = [
     "split_partial_tag",
 ]
 
-FUNCTIONS = (
-    "sin", "cos", "tan", "sinh", "cosh", "tanh",
-    "exp", "ln", "sqrt", "abs", "sign",
-)
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
@@ -98,6 +97,32 @@ class Neg(Expr):
 class Call(Expr):
     fn: str
     arg: Expr
+
+
+# ---------------------------------------------------------------------------
+# the functions: name -> (numpy function, domain (test for bad arguments,
+# message) or None, derivative rule f'(u) as an Expr)
+
+_FUNCTIONS = {
+    "sin": (np.sin, None, lambda u: Call("cos", u)),
+    "cos": (np.cos, None, lambda u: _neg(Call("sin", u))),
+    "tan": (np.tan, None,
+            lambda u: _div(Num(1.0), _pow(Call("cos", u), Num(2.0)))),
+    "sinh": (np.sinh, None, lambda u: Call("cosh", u)),
+    "cosh": (np.cosh, None, lambda u: Call("sinh", u)),
+    "tanh": (np.tanh, None,
+             lambda u: _sub(Num(1.0), _pow(Call("tanh", u), Num(2.0)))),
+    "exp": (np.exp, None, lambda u: Call("exp", u)),
+    "ln": (np.log, (lambda x: np.asarray(x) <= 0, "ln of non-positive value"),
+           lambda u: _div(Num(1.0), u)),
+    "sqrt": (np.sqrt, (lambda x: np.asarray(x) < 0, "sqrt of negative value"),
+             lambda u: _div(Num(0.5), Call("sqrt", u))),
+    "abs": (np.abs, None, lambda u: Call("sign", u)),
+    "sign": (np.sign, (lambda x: np.asarray(x) == 0,
+                       "sign undefined at 0 (abs is not differentiable there)"),
+             lambda u: Num(0.0)),
+}
+FUNCTIONS = tuple(_FUNCTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +224,7 @@ class _Parser:
             kind, text, _ = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
-                rhs = self.term()
-                e = _add(e, rhs) if text == "+" else _sub(e, rhs)
+                e = _BUILD[text](e, self.term())
             else:
                 return e
 
@@ -210,8 +234,7 @@ class _Parser:
             kind, text, _ = self.peek()
             if kind == "op" and text in "*/":
                 self.advance()
-                rhs = self.factor()
-                e = _mul(e, rhs) if text == "*" else _div(e, rhs)
+                e = _BUILD[text](e, self.factor())
             else:
                 return e
 
@@ -341,6 +364,9 @@ def _neg(a):
     return Neg(a)
 
 
+_BUILD = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _pow}
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -378,23 +404,19 @@ def _eval(e, env):
     if isinstance(e, Neg):
         return -_eval(e.arg, env)
     if isinstance(e, Bin):
-        a = _eval(e.left, env)
-        b = _eval(e.right, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            _check(b == 0, "division by zero")
-            return a / b
-        if e.op == "^":
-            return _eval_pow(a, b)
-        raise AssertionError(e.op)
+        return _BINARY[e.op](_eval(e.left, env), _eval(e.right, env))
     if isinstance(e, Call):
-        return _eval_call(e.fn, _eval(e.arg, env))
+        fn, domain, _ = _FUNCTIONS[e.fn]
+        x = _eval(e.arg, env)
+        if domain is not None:
+            _check(domain[0](x), domain[1])
+        return fn(x)
     raise AssertionError(type(e))
+
+
+def _eval_div(a, b):
+    _check(b == 0, "division by zero")
+    return a / b
 
 
 def _eval_pow(a, b):
@@ -409,20 +431,8 @@ def _eval_pow(a, b):
         raise ExprEvalError("power overflows the float range") from err
 
 
-def _eval_call(fn, x):
-    if fn == "ln":
-        _check(np.asarray(x) <= 0, "ln of non-positive value")
-        return np.log(x)
-    if fn == "sqrt":
-        _check(np.asarray(x) < 0, "sqrt of negative value")
-        return np.sqrt(x)
-    if fn == "abs":
-        return np.abs(x)
-    if fn == "sign":
-        _check(np.asarray(x) == 0,
-               "sign undefined at 0 (abs is not differentiable there)")
-        return np.sign(x)
-    return getattr(np, fn)(x)
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": _eval_div, "^": _eval_pow}
 
 
 # ---------------------------------------------------------------------------
@@ -466,34 +476,7 @@ def _diff(e, var):
             return _mul(_pow(a, b), term)
         raise AssertionError(e.op)
     if isinstance(e, Call):
-        u = e.arg
-        du = _diff(u, var)
-        fn = e.fn
-        if fn == "sin":
-            outer = Call("cos", u)
-        elif fn == "cos":
-            outer = _neg(Call("sin", u))
-        elif fn == "tan":
-            outer = _div(Num(1.0), _pow(Call("cos", u), Num(2.0)))
-        elif fn == "sinh":
-            outer = Call("cosh", u)
-        elif fn == "cosh":
-            outer = Call("sinh", u)
-        elif fn == "tanh":
-            outer = _sub(Num(1.0), _pow(Call("tanh", u), Num(2.0)))
-        elif fn == "exp":
-            outer = Call("exp", u)
-        elif fn == "ln":
-            outer = _div(Num(1.0), u)
-        elif fn == "sqrt":
-            outer = _div(Num(0.5), Call("sqrt", u))
-        elif fn == "abs":
-            outer = Call("sign", u)
-        elif fn == "sign":
-            outer = Num(0.0)
-        else:
-            raise AssertionError(fn)
-        return _mul(outer, du)
+        return _mul(_FUNCTIONS[e.fn][2](e.arg), _diff(e.arg, var))
     raise AssertionError(type(e))
 
 
@@ -540,9 +523,7 @@ def _wrap(child, parent_prec, strict=False):
 def _print(e):
     if isinstance(e, Num):
         return _fmt_number(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Const):
+    if isinstance(e, (Var, Const)):
         return e.name
     if isinstance(e, Neg):
         return "-" + _wrap(e.arg, _PREC_NEG, strict=True)
@@ -576,9 +557,8 @@ def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
     if isinstance(e, Call):
         return Call(e.fn, substitute(e.arg, name, replacement))
     if isinstance(e, Bin):
-        ops = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _pow}
-        return ops[e.op](substitute(e.left, name, replacement),
-                         substitute(e.right, name, replacement))
+        return _BUILD[e.op](substitute(e.left, name, replacement),
+                            substitute(e.right, name, replacement))
     raise AssertionError(type(e))
 
 
@@ -590,9 +570,7 @@ def free_variables(e: Expr) -> set:
         node = stack.pop()
         if isinstance(node, Var):
             out.add(node.name)
-        elif isinstance(node, Neg):
-            stack.append(node.arg)
-        elif isinstance(node, Call):
+        elif isinstance(node, (Neg, Call)):
             stack.append(node.arg)
         elif isinstance(node, Bin):
             stack.append(node.left)

@@ -378,8 +378,7 @@ def solve_balloon(altitude=52, warm_start=None):
         x0 = s1
         if a1 != a0:
             x0 = s1 + (altitude - a1) / (a1 - a0) * (s1 - s0)
-            extras, _ = bld.clamp_extras(
-                {e.name: x0[width + i] for i, e in enumerate(problem.extras)})
+            extras, _ = bld.clamp_extras(x0[width:])
             x0[width:] = list(extras.values())
     report = _solve(bld, None, x0, t0, closures)
     solution = np.concatenate([*report.xi.values(),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,24 @@ def test_tensor_values_match_rows_within_dot_product_bound(case):
     got = feat.values(pts, orders, coef)
     assert got.shape == (pts.shape[0],)
     assert np.all(np.abs(got - rows @ coef) <= bound)
+
+
+def test_tensor_eval_holds_no_second_full_size_array():
+    # eval holds its (n, count) result, one ROW_BLOCK-row block of a
+    # gathered factor and the gathered 1-D tables (n x 13 each): about 1.4
+    # results here.  A full-size gathered factor is a second result.
+    fams = [B.BasisFamily("chebyshev", 12), B.BasisFamily("chebyshev", 12)]
+    feat = B.TensorFeature(fams, [B.DomainMap(0, 1, -1, 1)] * 2)
+    x = np.linspace(0, 1, 40)
+    pts = np.column_stack([g.ravel() for g in np.meshgrid(x, x)])
+    tracemalloc.start()
+    try:
+        rows = feat.eval(pts, (1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (1600, 169)
+    assert peak <= 1.6 * rows.nbytes
 
 
 def test_tensor_feature_values_are_products():

@@ -258,8 +258,7 @@ def test_solution_values_equal_coefficient_rows(name):
     def check(seed):
         rng = np.random.default_rng(seed)
         q = _random_state(bld, rng, 0.0)
-        extras, _ = bld.clamp_extras(
-            {e.name: q[width + i] for i, e in enumerate(bld.problem.extras)})
+        extras, _ = bld.clamp_extras(q[width:])
         pts = _random_points(bld, rng)
         for dep in bld.problem.dependent:
             got = bld.evaluate_solution(dep.name, pts, q[:width], extras)
@@ -295,8 +294,7 @@ def _fresh_system(bld, pts, q):
     ``assemble_nonlinear``, which evaluates rows once and offsets per q."""
     width = bld.layout.width
     names = [e.name for e in bld.problem.extras]
-    extras, gates = bld.clamp_extras(
-        {nm: q[width + i] for i, nm in enumerate(names)})
+    extras, gates = bld.clamp_extras(q[width:])
     xi = q[:width]
     evals = bld.partial_evals(pts, extras)
     bindings = bld.ctx.bindings(pts, extras)
@@ -951,7 +949,7 @@ def test_balloon_state_is_a_secant_predictor(monkeypatch):
     bld = D.ProblemBuild(P.balloon(54))
     width = bld.layout.width
     np.testing.assert_array_equal(starts[-1][:width], secant[:width])
-    extras, _ = bld.clamp_extras(dict(zip(("beta", "ell"), secant[width:])))
+    extras, _ = bld.clamp_extras(secant[width:])
     np.testing.assert_array_equal(starts[-1][width:], list(extras.values()))
     assert rep54.reason == "residual-inf-norm"
     # an extrapolated extra past its bound starts on the bound
@@ -1045,6 +1043,47 @@ def test_split_continuity_for_any_coefficients():
     dzr = bld.fields["y2"].eval(np.array([[-1.0]]), (1,), extras).value(xi)[0]
     assert c1 * dzl == pytest.approx(extras["dyp"], abs=1e-11)
     assert c2 * dzr == pytest.approx(extras["dyp"], abs=1e-11)
+
+
+def test_split_solve_maps_an_explicit_x_in_the_residual():
+    # y_xx = (1 + x) y_x names x, which each subdomain's residual takes as
+    # its map x(z).  The solution, an affine function of the integral of
+    # exp(x + x^2/2), is smooth, so each solve's error is near rounding:
+    # the split and whole-domain solutions must agree to 1e-10, the bound
+    # of the Pe = 1 split test above.
+    whole = dataclasses.replace(P.convection_diffusion(1.0, n=60, m=40),
+                                residuals=("y_xx - (1 + x)*y_x",),
+                                analytic={}, test_points=None)
+    split = P.convection_diffusion_split(1.0)[1]
+    sbld = D.ProblemBuild(D._split_problem(whole, split))
+    assert all("x" not in E.free_variables(r) for r in sbld._residuals)
+    rep = D.solve_split(whole, split)
+    assert rep.reason == "residual-inf-norm"
+    ref = D.solve(whole)
+    wbld = D.ProblemBuild(whole)
+    xi = np.concatenate(list(rep.xi.values()))
+    xp = rep.extras["xp"]
+    z = np.linspace(-1.0, 1.0, 7)
+    for name, lo, hi in (("y1", 0.0, xp), ("y2", xp, 1.0)):
+        x = lo + (hi - lo) * (z + 1.0) / 2.0
+        got = sbld.evaluate_solution(name, z[:, None], xi, rep.extras)
+        want = wbld.evaluate_solution("y", x[:, None], ref.xi["y"], {})
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def test_wrong_size_supports_name_the_variable_and_dimension():
+    # two constraints on x need two support functions; the count includes
+    # augmentation rows, so it is checked when the CEs are built
+    (dep,) = P.wave1d().dependent
+    problem = dataclasses.replace(P.wave1d(), dependent=(
+        dataclasses.replace(dep, supports={"x": (0,)}),))
+    with pytest.raises(ValueError, match=re.escape(
+            "dependent variable 'u': supports on 'x' need 2 functions "
+            "(constraints + augmentation rows), got 1")):
+        D.solve(problem)
+    right = dataclasses.replace(problem, dependent=(
+        dataclasses.replace(dep, supports={"x": (0, 1)}),))
+    assert len(D.ProblemBuild(right).ces["u"]) == 2
 
 
 def test_solve_split_requires_endpoint_values():

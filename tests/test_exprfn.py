@@ -62,6 +62,7 @@ def test_unbound_variable_error():
     ("x^0.5", {"x": -4.0}),
     ("x^(-1)", {"x": 0.0}),
     ("10^400", {}),  # overflows the float range
+    ("sign(x)", {"x": 0.0}),
 ])
 def test_domain_errors_raise(src, binds):
     with pytest.raises(E.ExprEvalError):
@@ -103,6 +104,20 @@ def test_second_derivative_of_sine():
     for x in rng.uniform(-2, 2, 10):
         expect = -math.pi ** 2 * math.sin(math.pi * x)
         assert E.evaluate(d2, {"x": x}) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("fn", E.FUNCTIONS)
+def test_every_function_derivative_matches_central_differences(fn):
+    # oracle: central differences with h = 1e-6, whose error (about
+    # h^2 |f'''| + eps/h) stays under 1e-9 here.  u = 2x + 0.1 runs over
+    # [0.3, 1.1], inside every domain (ln, sqrt and sign need u > 0, and
+    # tan's pole is at pi/2); the factor 2 checks the chain rule
+    e = E.parse(f"{fn}(2*x + 0.1)")
+    x = np.linspace(0.1, 0.5, 5)
+    h = 1e-6
+    fd = (E.evaluate(e, {"x": x + h}) - E.evaluate(e, {"x": x - h})) / (2 * h)
+    sym = E.evaluate(E.differentiate(e, "x"), {"x": x})
+    np.testing.assert_allclose(sym, fd, rtol=1e-7, atol=1e-7)
 
 
 def test_abs_derivative_flagged_at_zero():
